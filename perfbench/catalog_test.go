@@ -4,120 +4,104 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 )
 
-// benchFile is BENCHMARK.json at the repository root.
-type benchFile struct {
-	Command    []string `json:"command"`
-	Paths      []string `json:"paths"`
-	RunSeconds int      `json:"run_seconds"`
-	Workloads  []struct {
-		Name string `json:"name"`
-		Why  string `json:"why"`
-	} `json:"workloads"`
-	EndToEnd []struct {
-		Name   string  `json:"name"`
-		Unit   string  `json:"unit"`
-		Better string  `json:"better"`
-		Bound  float64 `json:"bound"`
-	} `json:"end_to_end"`
-	PerLayer []metricDef `json:"per_layer"`
-}
+const benchJSON = "../BENCHMARK.json"
 
-func readBenchFile(t *testing.T) benchFile {
-	t.Helper()
-	raw, err := os.ReadFile("../BENCHMARK.json")
+// BENCHMARK.json must load, hold exactly the contract's keys and limits,
+// and name the workloads the program runs; loadCatalog checks that every
+// per-layer metric names an existing end-to-end metric and workload.
+func TestBenchmarkJSON(t *testing.T) {
+	c, err := loadCatalog(benchJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &keys); err != nil {
+	raw, err := os.ReadFile(benchJSON)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 6 {
-		t.Errorf("BENCHMARK.json has %d top-level keys, want 6", len(keys))
+	var b struct {
+		Command    []string    `json:"command"`
+		Paths      []string    `json:"paths"`
+		RunSeconds int         `json:"run_seconds"`
+		Workloads  []any       `json:"workloads"`
+		EndToEnd   []metricDef `json:"end_to_end"`
+		PerLayer   []metricDef `json:"per_layer"`
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	var b benchFile
 	if err := dec.Decode(&b); err != nil {
 		t.Fatal(err)
 	}
-	return b
-}
-
-// The program's metric catalog and BENCHMARK.json must agree, every
-// name must follow the name rule, and every per-layer metric must
-// name an existing end-to-end metric and workload it should move.
-func TestBenchmarkJSONMatchesCatalog(t *testing.T) {
-	b := readBenchFile(t)
 	if b.RunSeconds < 1 || b.RunSeconds > 60 || len(b.Command) == 0 || len(b.Command) > 32 {
 		t.Errorf("run_seconds %d, command %q", b.RunSeconds, b.Command)
 	}
 	if !slices.Equal(b.Paths, []string{"perfbench"}) {
 		t.Errorf("paths = %q", b.Paths)
 	}
-	seen := make(map[string]bool)
-	name := func(n string) {
-		if !validName(n) || seen[n] {
-			t.Errorf("name %q is invalid or used twice", n)
-		}
-		seen[n] = true
-	}
 	var workloads []string
-	for _, w := range b.Workloads {
-		name(w.Name)
+	for _, w := range c.Workloads {
 		workloads = append(workloads, w.Name)
-		if w.Why == "" || len(w.Why) > 200 || strings.Contains(w.Why, "\n") {
-			t.Errorf("workload %s: why must be one line of at most 200 characters", w.Name)
+		if !validName(w.Name) || w.Why == "" || len(w.Why) > 200 || strings.Contains(w.Why, "\n") {
+			t.Errorf("workload %q: invalid name, or why not one line of at most 200 characters", w.Name)
 		}
 	}
 	if !slices.Equal(workloads, workloadNames()) {
 		t.Errorf("workloads %q, program runs %q", workloads, workloadNames())
 	}
-	if len(b.EndToEnd) != len(endToEnd) {
-		t.Fatalf("%d end-to-end metrics, catalog has %d", len(b.EndToEnd), len(endToEnd))
-	}
 	maxBound := 0.0
-	e2e := make(map[string]bool)
-	for i, m := range b.EndToEnd {
-		name(m.Name)
-		e2e[m.Name] = true
-		if got := (metricDef{m.Name, m.Unit, m.Better}); got != endToEnd[i] || !validUnit(m.Unit) {
-			t.Errorf("end_to_end[%d] = %+v, catalog has %+v", i, got, endToEnd[i])
-		}
+	for _, m := range c.EndToEnd {
 		if m.Bound <= 0 || m.Bound > 0.25 {
 			t.Errorf("%s: bound %v outside (0, 0.25]", m.Name, m.Bound)
 		}
 		maxBound = max(maxBound, m.Bound)
 	}
-	for _, m := range b.EndToEnd {
-		if m.Name == "setup_s" && (m.Unit != "s" || m.Better != "lower" || m.Bound != maxBound) {
-			t.Errorf("setup_s must be in s, lower is better, with the largest bound: %+v", m)
+	i := slices.IndexFunc(c.EndToEnd, func(m metricDef) bool { return m.Name == "setup_s" })
+	if i < 0 || c.EndToEnd[i] != (metricDef{"setup_s", "s", "lower", maxBound}) {
+		t.Error("setup_s must be listed, in s, lower is better, with the largest bound")
+	}
+	for _, m := range c.PerLayer {
+		if m.Bound != 0 {
+			t.Errorf("per-layer metric %s has a bound", m.Name)
+		}
+		if len(layerMoves[m.Name]) == 0 && m.Name != "trace.overhead_frac" {
+			t.Errorf("%s names no end-to-end metric it should move", m.Name)
 		}
 	}
-	if !e2e["setup_s"] {
-		t.Error("setup_s is missing")
+}
+
+// A catalog whose per-layer list and layer table disagree, or whose
+// layer table names a missing end-to-end metric, is refused.
+func TestLoadCatalogRejectsMismatch(t *testing.T) {
+	c, err := loadCatalog(benchJSON)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(b.PerLayer) != len(perLayer) {
-		t.Fatalf("%d per-layer metrics, catalog has %d", len(b.PerLayer), len(perLayer))
+	write := func(c catalog) string {
+		raw, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "BENCHMARK.json")
+		if err := os.WriteFile(path, raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	for i, m := range b.PerLayer {
-		name(m.Name)
-		l := perLayer[i]
-		if m != l.metricDef || !validUnit(m.Unit) {
-			t.Errorf("per_layer[%d] = %+v, catalog has %+v", i, m, l.metricDef)
-		}
-		if len(l.Moves) == 0 && l.Name != "trace.overhead_frac" {
-			t.Errorf("%s names no end-to-end metric it should move", l.Name)
-		}
-		for _, tg := range l.Moves {
-			if !e2e[tg.Metric] || !slices.Contains(workloads, tg.Workload) {
-				t.Errorf("%s should move %s on %s: no such metric or workload", l.Name, tg.Metric, tg.Workload)
-			}
+	extra := *c
+	extra.PerLayer = append(slices.Clone(c.PerLayer), metricDef{Name: "nope.metric", Unit: "count", Better: "lower"})
+	noTarget := *c
+	noTarget.EndToEnd = slices.DeleteFunc(slices.Clone(c.EndToEnd), func(m metricDef) bool { return m.Name == "read_p50_ms" })
+	badName := *c
+	badName.PerLayer = slices.Clone(c.PerLayer)
+	badName.PerLayer[0].Name = "bad name"
+	for what, bad := range map[string]catalog{"extra per-layer metric": extra, "missing target": noTarget, "bad name": badName} {
+		if _, err := loadCatalog(write(bad)); err == nil {
+			t.Errorf("%s: accepted", what)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -30,52 +28,6 @@ func closedLoop(clients int, d time.Duration, op func(client int) bool) time.Dur
 	}
 	wg.Wait()
 	return time.Since(start)
-}
-
-// spinWindow is how long before a request is due the open loop stops
-// sleeping and yields until the due time.
-const spinWindow = time.Millisecond
-
-// openSample times one open-loop request against its due time.
-type openSample struct {
-	late    time.Duration // actual send minus due time
-	latency time.Duration // completion minus due time
-}
-
-// openLoop issues n requests, one after another on one connection, at
-// a fixed rate: request i is due at start + i/rate and is sent when it
-// is due or, if an earlier request still holds the connection, as soon
-// as it is free. Latency counts from the due time, so a stall is
-// charged to every request queued behind it, and late records how far
-// behind schedule the generator ran. It returns one sample per request
-// and the time from the start until the last one finished.
-func openLoop(ctx context.Context, n int, rate float64, do func(i int)) ([]openSample, time.Duration) {
-	samples := make([]openSample, n)
-	start := time.Now()
-	timer := time.NewTimer(0)
-	defer timer.Stop()
-	<-timer.C
-	for i := range n {
-		due := start.Add(time.Duration(float64(i) / rate * float64(time.Second)))
-		if wait := time.Until(due) - spinWindow; wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				return samples[:i], time.Since(start)
-			}
-		}
-		// A timer wakes up late by up to a scheduler tick; the last
-		// stretch yields instead, so the generator's own lateness stays
-		// out of the latencies.
-		for time.Now().Before(due) {
-			runtime.Gosched()
-		}
-		sent := time.Now()
-		do(i)
-		samples[i] = openSample{late: sent.Sub(due), latency: time.Since(due)}
-	}
-	return samples, time.Since(start)
 }
 
 // zipf draws indexes 0..n-1 with P(i) proportional to 1/(i+1)^s, the
@@ -279,9 +231,9 @@ func (f *figures) setCounts(c counts) {
 // zeroLayers sets every per-layer figure the workload has not set to
 // 0: the layer is not on this workload's path.
 func (f *figures) zeroLayers() {
-	for _, l := range perLayer {
-		if _, ok := f.vals[l.Name]; !ok {
-			f.vals[l.Name] = 0
+	for name := range layerMoves {
+		if _, ok := f.vals[name]; !ok {
+			f.vals[name] = 0
 		}
 	}
 }

@@ -4,13 +4,14 @@
 // checks every sampled answer against a brute-force oracle, and prints
 // one JSON result line:
 //
-//	go build -o perfbench . && ./perfbench --workload dblp-read --seed 1 --seconds 10 --trace 0
+//	go build -o perfbench . && ./perfbench --benchmark ../BENCHMARK.json --workload dblp-read --seed 1 --seconds 10 --trace 0
 //
 // With --trace 0 the metrics are the end-to-end figures, measured with
 // tracing off. With --trace 1 the run adds the deterministic
 // single-client count pass and a traced phase, and prints the
-// per-layer figures instead. See README.md for the workloads and the
-// definition of every metric.
+// per-layer figures instead. The names, units and directions of the
+// metrics come from BENCHMARK.json. See README.md for the workloads
+// and the definition of every metric.
 package main
 
 import (
@@ -92,6 +93,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	seconds := fs.Int("seconds", 10, "length of one measured phase, in seconds")
 	traceFlag := fs.Int("trace", 0, "1 = traced run printing the per-layer metrics")
 	spanDir := fs.String("spans", filepath.Join(".bench_build", "spans"), "directory the traced run writes its spans to")
+	benchFile := fs.String("benchmark", "BENCHMARK.json", "the metric catalog")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -99,6 +101,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if !ok || *seconds < 1 || (*traceFlag != 0 && *traceFlag != 1) {
 		fmt.Fprintf(stderr, "perfbench: need --workload (%s), --seconds >= 1 and --trace 0|1\n", strings.Join(workloadNames(), ", "))
 		return 2
+	}
+	cat, err := loadCatalog(*benchFile)
+	if err != nil {
+		fmt.Fprintf(stderr, "perfbench: %v\n", err)
+		return 2
+	}
+	defs := cat.EndToEnd
+	if *traceFlag == 1 {
+		defs = cat.PerLayer
 	}
 	cfg := runCfg{seed: *seed, seconds: time.Duration(*seconds) * time.Second, trace: *traceFlag == 1, size: 1}
 	rep, err := w(ctx, cfg)
@@ -117,7 +128,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	for _, p := range rep.problems {
 		fmt.Fprintf(stderr, "perfbench: FAILED: %s\n", p)
 	}
-	res, err := buildResult(rep, cfg.trace)
+	res, err := buildResult(rep, defs)
 	if err != nil {
 		fmt.Fprintf(stderr, "perfbench: %s: %v\n", *name, err)
 		return 1
@@ -136,18 +147,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 func workloadNames() []string { return []string{wDBLP, wServe, wCartel} }
 
-// buildResult checks that the report carries exactly the catalog's
-// metrics of the requested kind, each a finite number.
-func buildResult(rep *report, traced bool) (result, error) {
+// buildResult checks that the report carries exactly the metrics defs
+// lists, each a finite number.
+func buildResult(rep *report, defs []metricDef) (result, error) {
 	if rep.figs.err != nil {
 		return result{}, rep.figs.err
-	}
-	defs := endToEnd
-	if traced {
-		defs = nil
-		for _, l := range perLayer {
-			defs = append(defs, l.metricDef)
-		}
 	}
 	if len(rep.figs.vals) != len(defs) {
 		return result{}, fmt.Errorf("internal: %d metrics computed, catalog has %d", len(rep.figs.vals), len(defs))
@@ -165,9 +169,6 @@ func buildResult(rep *report, traced bool) (result, error) {
 		v, ok := rep.figs.vals[d.Name]
 		if !ok {
 			return result{}, fmt.Errorf("internal: metric %s not computed", d.Name)
-		}
-		if !validName(d.Name) || !validUnit(d.Unit) {
-			return result{}, fmt.Errorf("internal: invalid metric name or unit %q %q", d.Name, d.Unit)
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return result{}, fmt.Errorf("metric %s is %v", d.Name, v)

@@ -10,7 +10,7 @@ set -euo pipefail
 
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 out="$(pwd)/.bench_build"
-mkdir -p "$out"
-export GOCACHE="$out/gocache" GOMODCACHE="$out/gomod" XDG_CONFIG_HOME="$out/config" GOTOOLCHAIN=local GOFLAGS=
+mkdir -p "$out/tmp"
+export GOCACHE="$out/gocache" GOMODCACHE="$out/gomod" GOTMPDIR="$out/tmp" XDG_CONFIG_HOME="$out/config" GOTOOLCHAIN=local GOFLAGS=
 (cd "$here" && go build -o "$out/perfbench" .)
 exec "$out/perfbench" "$@"

@@ -31,15 +31,6 @@ func percentile(xs []float64, p float64) (float64, error) {
 // median is the percentile rule at p=0.5.
 func median(xs []float64) (float64, error) { return percentile(xs, 0.5) }
 
-// durMS converts durations to float milliseconds.
-func durMS(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = float64(d) / float64(time.Millisecond)
-	}
-	return out
-}
-
 // durUS converts durations to float microseconds.
 func durUS(ds []time.Duration) []float64 {
 	out := make([]float64, len(ds))
@@ -71,6 +62,18 @@ func medianOf(xs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// meanOf returns the mean of xs, 0 for none.
+func meanOf(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }
 
 // figures collects the metric values of one run and the first error

@@ -33,7 +33,7 @@ func TestPercentileNeedsTenSamplesBeyond(t *testing.T) {
 
 func TestFiguresRecordTooFewSamples(t *testing.T) {
 	f := newFigures()
-	f.pct("read_p99_ms", durMS(make([]time.Duration, 500)), 0.99)
+	f.pct("read_p99_ms", make([]float64, 500), 0.99)
 	if f.err == nil {
 		t.Fatal("a p99 over 500 samples was accepted")
 	}

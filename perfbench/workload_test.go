@@ -69,7 +69,7 @@ func TestCountPassRepeats(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/seed%d", wServe, seed), func(t *testing.T) {
 			var got []counts
 			for range 2 {
-				e, err := buildServe(seed, 1, serveCountOps)
+				e, err := buildServe(seed, serveCountOps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -134,8 +134,11 @@ func TestPhasesPassTheirChecks(t *testing.T) {
 		}
 		defer e.close(ctx)
 		times := &insertTimes{epoch: time.Now(), called: make([]atomic.Int64, len(e.pool)), acked: make([]atomic.Int64, len(e.pool))}
-		ops := cartelList(rand.New(rand.NewSource(7)), e, 400, 0)
-		s, _, err := cartelPhase(ctx, e, ops, 300*time.Millisecond, nil, times)
+		// The pool holds the inserts of cartelMaxRate ops for one
+		// second; the phase is short enough that even a build without
+		// the race detector does not run the list out.
+		ops := cartelList(rand.New(rand.NewSource(7)), e, cartelMaxRate, 0)
+		s, _, err := cartelPhase(ctx, e, ops, 100*time.Millisecond, nil, times)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,12 +162,12 @@ func TestPhasesPassTheirChecks(t *testing.T) {
 		t.Fatal("no checked answer had a row")
 	})
 	t.Run(wServe, func(t *testing.T) {
-		e, err := buildServe(7, 300, 1)
+		e, err := buildServe(7, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.close(ctx)
-		out, err := servePhase(ctx, e, e.ops, nil)
+		out, err := servePhase(ctx, e, 500*time.Millisecond, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,24 +180,27 @@ func TestPhasesPassTheirChecks(t *testing.T) {
 		if err := e.db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		writes, _ := split(e.ops)
-		live, unknown := serveModel(e.data, writes, out.acked)
+		live, unknown := e.serveModel()
 		rep := &report{figs: newFigures()}
 		if err := verifyReopen(ctx, e.mem, live, unknown, e.data.Countries, rep); err != nil || rep.failed != 0 {
 			t.Fatalf("reopen check: %v, %q", err, rep.problems)
 		}
 		// Forget one acknowledged delete: the reopened table no longer
 		// matches the model.
-		for i, op := range writes {
-			if op.kind == opDelete && out.acked[i] {
-				out.acked[i] = false
-				live, _ = serveModel(e.data, writes, out.acked)
-				live[op.id] = e.data.Authors[0]
-				break
+		deleted := false
+		for _, cl := range e.clients {
+			for id, t := range cl.state {
+				if t == nil && !deleted {
+					live[id] = e.data.Authors[0]
+					deleted = true
+				}
 			}
 		}
+		if !deleted {
+			t.Fatal("the phase acknowledged no delete")
+		}
 		rep = &report{figs: newFigures()}
-		if err := verifyReopen(ctx, e.mem, live, map[uint64]bool{}, e.data.Countries, rep); err != nil || rep.failed == 0 {
+		if err := verifyReopen(ctx, e.mem, live, unknown, e.data.Countries, rep); err != nil || rep.failed == 0 {
 			t.Fatalf("a lost delete went unnoticed: %v", err)
 		}
 	})
