@@ -34,12 +34,10 @@
 // Old partition files are reference-counted and removed only after the
 // last in-flight query over the previous generation finishes.
 //
-// Queries execute either materialized (Store.Run / Prepared.Collect:
-// every partition scanned to completion, tapes replayed in partition
-// order) or incrementally (Prepared.Stream: per-partition pull-based
-// cursors under a k-way merge, each partition's tape replayed and its
-// pin released the moment its cursor is exhausted). Both see the same
-// snapshot and produce identical results in identical order.
+// Queries execute through one executor, Prepared.Stream: per-partition
+// pull-based cursors under a k-way merge, each partition's tape
+// replayed and its pin released the moment its cursor is exhausted.
+// Store.Run and Prepared.Collect drain that stream into a slice.
 package fracture
 
 import (
@@ -101,12 +99,6 @@ type Config struct {
 	// metrics never touch the I/O tapes, so modeled query costs are
 	// identical either way.
 	Metrics *obs.EngineMetrics
-	// ResultCache, when positive, caches up to that many point-query
-	// result sets (PTQ and secondary-PTQ) per store, invalidated
-	// wholesale by any write to the store — see rescache.go. A hit
-	// replays the stored results and statistics without pinning a
-	// snapshot or touching the modeled-I/O tapes. 0 disables caching.
-	ResultCache int
 }
 
 // Store is a fractured UPI. It is safe for concurrent use: any number
@@ -157,10 +149,6 @@ type Store struct {
 	// mergeMu serializes whole merges (manual and background) so at
 	// most one new main generation is under construction at a time.
 	mergeMu sync.Mutex
-
-	// rc is the opt-in point-result cache (Config.ResultCache > 0);
-	// nil when disabled. It carries its own synchronization.
-	rc *resultCache
 }
 
 // fract is one on-disk fracture: an independent UPI and the delete set
@@ -276,9 +264,6 @@ func newShell(fs *storage.FS, name, attr string, secAttrs []string, opts Config)
 		bufTuples:  make(map[uint64]*tuple.Tuple),
 		bufDeletes: make(map[uint64]bool),
 	}
-	if opts.ResultCache > 0 {
-		s.rc = newResultCache(opts.ResultCache, opts.Metrics)
-	}
 	return s
 }
 
@@ -320,6 +305,21 @@ func (s *Store) Main() *upi.Table {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.main
+}
+
+// Partitions returns the current on-disk partitions: the main UPI
+// first, then the fractures oldest first. Like Main, the tables are
+// replaced — not mutated — by flushes and merges, and the list may be
+// stale by the time the caller reads it. Reference measurements use
+// it to query each partition on its own.
+func (s *Store) Partitions() []*upi.Table {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	parts := []*upi.Table{s.main}
+	for _, f := range s.fractures {
+		parts = append(parts, f.table)
+	}
+	return parts
 }
 
 // NumFractures returns the current fracture count (Nfrac in the cost
@@ -455,7 +455,6 @@ func (s *Store) Insert(tup *tuple.Tuple) error {
 // applyInsertLocked is the buffer mutation of Insert, shared with WAL
 // replay. Callers must hold mu.
 func (s *Store) applyInsertLocked(tup *tuple.Tuple) {
-	s.rc.invalidate()
 	if s.cat != nil {
 		// Absorb the delta: the new version counts immediately; a
 		// replaced buffered version is subtracted exactly. (A replaced
@@ -496,7 +495,6 @@ func (s *Store) Delete(id uint64) error {
 // applyDeleteLocked is the buffer mutation of Delete, shared with WAL
 // replay. Callers must hold mu.
 func (s *Store) applyDeleteLocked(id uint64) {
-	s.rc.invalidate()
 	if old, buffered := s.bufTuples[id]; buffered {
 		// The buffered version never reached disk; cancel it and
 		// subtract its statistics delta exactly, since the content is
@@ -562,10 +560,6 @@ func (s *Store) flushLocked() error {
 	if len(s.bufTuples) == 0 && len(s.bufDeletes) == 0 {
 		return nil
 	}
-	// A flush moves content between partitions without changing it, but
-	// cached statistics (partition counts, buffer hits) would no longer
-	// match a fresh execution — retire them.
-	s.rc.invalidate()
 	s.gen++
 	id := s.gen
 	tuples := make([]*tuple.Tuple, 0, len(s.bufTuples))
@@ -700,10 +694,9 @@ func (s *Store) FlushPages() error {
 	return nil
 }
 
-// DropCaches empties every partition's buffer pools and the store's
-// result cache, so the next query of any shape cold-starts.
+// DropCaches empties every partition's buffer pools, so the next
+// query of any shape cold-starts.
 func (s *Store) DropCaches() error {
-	s.rc.purge()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if err := s.main.DropCaches(); err != nil {

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"upidb/internal/obs"
-	"upidb/internal/sim"
 	"upidb/internal/tuple"
 	"upidb/internal/upi"
 )
@@ -87,7 +85,7 @@ type snapshot struct {
 	met         *obs.EngineMetrics
 
 	// mu guards pinned. Pins are normally released by the single
-	// consumer (collect, or the merged stream partition by partition),
+	// consumer (the merged stream, partition by partition),
 	// but an abandoned Prepared may be released by a GC cleanup on
 	// another goroutine, so the bookkeeping is locked and idempotent.
 	mu     sync.Mutex
@@ -185,115 +183,11 @@ func (snap *snapshot) release() {
 	}
 }
 
-// partQuery runs one query against a single partition.
-type partQuery func(ctx context.Context, t *upi.Table) ([]upi.Result, upi.QueryStats, error)
-
-// collect fans q out over the snapshot's partitions with a bounded
-// worker pool, then merges results in partition order. Each partition
-// is charged a table-open cost (the Nfrac × Costinit term of the
-// Section 6 cost model) plus its scan I/O, recorded on a per-partition
-// tape and replayed in partition order — so the modeled cost equals a
-// serial scan's at any parallelism.
-//
-// The context is checked before each partition scan starts and, inside
-// upi, between heap pages. When a partition fails — including by
-// cancellation — its tape and every later partition's tape are
-// discarded instead of replayed: an abandoned query stops charging
-// modeled I/O beyond the partitions it had already completed.
-func (s *Store) collect(ctx context.Context, snap *snapshot, q partQuery, trace TraceFunc) ([]upi.Result, Stats, error) {
-	n := len(snap.parts)
-	type partOut struct {
-		rs   []upi.Result
-		qs   upi.QueryStats
-		err  error
-		tape *sim.Tape
-	}
-	outs := make([]partOut, n)
-
-	scan := func(i int) {
-		if err := upi.CtxErr(ctx); err != nil {
-			outs[i] = partOut{err: err, tape: sim.NewTape()}
-			return
-		}
-		t := snap.parts[i]
-		trace.emit(TraceScanStart, i, t.Name())
-		tape := sim.NewTape()
-		release := s.fs.RouteTo(t.Files(), tape)
-		tape.Open(t.Name())
-		rs, qs, err := q(ctx, t)
-		release()
-		outs[i] = partOut{rs: rs, qs: qs, err: err, tape: tape}
-		if err != nil {
-			trace.emit(TraceScanEnd, i, t.Name()+": "+err.Error())
-		} else {
-			trace.emit(TraceScanEnd, i, t.Name())
-		}
-	}
-
-	if workers := min(snap.parallelism, n); workers <= 1 {
-		for i := 0; i < n; i++ {
-			scan(i)
-		}
-	} else {
-		var next atomic.Int32
-		next.Store(-1)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					if i >= n {
-						return
-					}
-					scan(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	// Deterministic accounting: charge partition I/O in partition
-	// order, exactly as a serial scan would have — but only up to the
-	// first failed partition, so a cancelled query stops charging.
-	firstErr := n
-	for i := range outs {
-		if outs[i].err != nil {
-			firstErr = i
-			break
-		}
-	}
-	disk := s.fs.Disk()
-	var modeled time.Duration
-	for i := 0; i < firstErr; i++ {
-		modeled += disk.Replay(outs[i].tape)
-	}
-
-	var stats Stats
-	stats.ModeledTime = modeled
-	var results []upi.Result
-	for i := range outs {
-		stats.PartitionsRead++
-		if outs[i].err != nil {
-			return nil, stats, outs[i].err
-		}
-		stats.QueryStats = addStats(stats.QueryStats, outs[i].qs)
-		results = appendLive(results, outs[i].rs, snap.killers[i])
-	}
-	// Insert buffer: pure RAM, no I/O charge.
-	results = append(results, snap.bufResults...)
-	stats.BufferHits = len(snap.bufResults)
-	sortResults(results)
-	return results, stats, nil
-}
-
 // execPlan is everything a Req compiles to: the RAM-buffer match
-// predicate, the materialized per-partition executor, the streaming
-// per-partition cursor factory, and the top-k bound (0 = unbounded).
+// predicate, the per-partition cursor factory, and the top-k bound
+// (0 = unbounded).
 type execPlan struct {
 	match  func(*tuple.Tuple) (float64, bool)
-	q      partQuery
 	cursor func(ctx context.Context, t *upi.Table) *upi.Cursor
 	k      int
 	empty  bool // trivially empty query (top-k with k <= 0)
@@ -311,9 +205,6 @@ func (s *Store) compileReq(req Req) (execPlan, error) {
 			conf := tup.Confidence(s.attr, req.Value)
 			return conf, conf > 0 && conf >= req.QT
 		}
-		p.q = func(ctx context.Context, t *upi.Table) ([]upi.Result, upi.QueryStats, error) {
-			return t.Query(ctx, req.Value, req.QT)
-		}
 		p.cursor = func(ctx context.Context, t *upi.Table) *upi.Cursor {
 			return t.QueryCursor(ctx, req.Value, req.QT)
 		}
@@ -321,9 +212,6 @@ func (s *Store) compileReq(req Req) (execPlan, error) {
 		p.match = func(tup *tuple.Tuple) (float64, bool) {
 			conf := tup.Confidence(req.Attr, req.Value)
 			return conf, conf > 0 && conf >= req.QT
-		}
-		p.q = func(ctx context.Context, t *upi.Table) ([]upi.Result, upi.QueryStats, error) {
-			return t.QuerySecondary(ctx, req.Attr, req.Value, req.QT, req.Tailored)
 		}
 		p.cursor = func(ctx context.Context, t *upi.Table) *upi.Cursor {
 			return t.SecondaryCursor(ctx, req.Attr, req.Value, req.QT, req.Tailored)
@@ -337,9 +225,6 @@ func (s *Store) compileReq(req Req) (execPlan, error) {
 			conf := tup.Confidence(s.attr, req.Value)
 			return conf, conf > 0
 		}
-		p.q = func(ctx context.Context, t *upi.Table) ([]upi.Result, upi.QueryStats, error) {
-			return t.TopK(ctx, req.Value, req.K)
-		}
 		p.cursor = func(ctx context.Context, t *upi.Table) *upi.Cursor {
 			return t.TopKCursor(ctx, req.Value, req.K)
 		}
@@ -352,9 +237,6 @@ func (s *Store) compileReq(req Req) (execPlan, error) {
 			conf := tup.Confidence(attr, req.Value)
 			return conf, conf > 0 && conf >= req.QT
 		}
-		p.q = func(ctx context.Context, t *upi.Table) ([]upi.Result, upi.QueryStats, error) {
-			return t.FullScan(ctx, attr, req.Value, req.QT)
-		}
 		p.cursor = func(ctx context.Context, t *upi.Table) *upi.Cursor {
 			return t.ScanCursor(ctx, attr, req.Value, req.QT)
 		}
@@ -366,9 +248,9 @@ func (s *Store) compileReq(req Req) (execPlan, error) {
 
 // Run executes one query described by req against the fractured UPI:
 // the union of the main UPI, every fracture and the insert buffer,
-// minus deleted tuples (Section 4.2). Partitions are scanned in
-// parallel up to the effective parallelism. A done context fails fast
-// with ErrCanceled before any partition is pinned or charged.
+// minus deleted tuples (Section 4.2). It is Prepare followed by
+// Collect. A done context fails fast with ErrCanceled before any
+// partition is pinned or charged.
 func (s *Store) Run(ctx context.Context, req Req) ([]upi.Result, Stats, error) {
 	p, err := s.Prepare(ctx, req)
 	if err != nil {
@@ -380,8 +262,7 @@ func (s *Store) Run(ctx context.Context, req Req) ([]upi.Result, Stats, error) {
 // Prepared is a query that has been compiled and snapshotted but not
 // yet executed: the partition set is pinned as of the Prepare call, so
 // the result set is fixed no matter when — or how — it is consumed.
-// Exactly one of Collect (materialized, partition-parallel) or Stream
-// (incremental k-way merged) may consume it; Release discards an
+// Exactly one of Collect or Stream may consume it; Release discards an
 // unconsumed Prepared.
 type Prepared struct {
 	s     *Store
@@ -389,28 +270,11 @@ type Prepared struct {
 	snap  *snapshot // nil for trivially empty queries
 	trace TraceFunc
 	used  bool
-
-	// Result-cache plumbing. On a hit, cached carries the stored
-	// result set (cachedOK distinguishes a hit from a trivially empty
-	// query) and no snapshot exists; on a cacheable miss, ckey/cepoch
-	// identify the entry a fully drained execution commits.
-	cached      []upi.Result
-	cachedStats Stats
-	cachedOK    bool
-	ckey        resKey
-	cepoch      uint64
-	commitable  bool
 }
 
 // Prepare compiles req, evaluates the RAM buffer and pins the current
 // partition set. A done context fails fast with ErrCanceled before
 // any partition is pinned or any modeled I/O charged.
-//
-// With a result cache enabled, a cacheable req whose shape is cached
-// skips the snapshot entirely: the returned Prepared replays the
-// stored results and statistics. A cacheable miss records the cache
-// epoch before pinning, so the drain can commit its result set only
-// if no write intervened.
 func (s *Store) Prepare(ctx context.Context, req Req) (*Prepared, error) {
 	if err := upi.CtxErr(ctx); err != nil {
 		return nil, err
@@ -423,21 +287,6 @@ func (s *Store) Prepare(ctx context.Context, req Req) (*Prepared, error) {
 	if plan.empty {
 		return p, nil
 	}
-	if s.rc != nil && cacheable(req) {
-		s.mu.RLock()
-		closed := s.closed
-		s.mu.RUnlock()
-		if closed {
-			return nil, ErrClosed
-		}
-		p.ckey = reqKey(req)
-		rs, st, epoch, ok := s.rc.lookup(p.ckey)
-		if ok {
-			p.cached, p.cachedStats, p.cachedOK = rs, st, true
-			return p, nil
-		}
-		p.cepoch, p.commitable = epoch, true
-	}
 	snap, err := s.snapshotFor(req.Parallelism, plan.match)
 	if err != nil {
 		return nil, err
@@ -446,37 +295,23 @@ func (s *Store) Prepare(ctx context.Context, req Req) (*Prepared, error) {
 	return p, nil
 }
 
-// Collect executes the prepared query the materialized way: every
-// partition is scanned to completion (fanned out across the worker
-// pool), per-partition tapes are replayed in partition order, and the
-// sorted result set is returned — the exact semantics, statistics and
-// modeled cost of the pre-streaming engine.
+// Collect drains the prepared query's Stream into a slice: the same
+// rows in the same order, and the statistics and modeled cost of the
+// full drain. A top-k query stops at the k-th result, like the stream.
+// On failure the statistics cover what was consumed before it.
 func (p *Prepared) Collect(ctx context.Context) ([]upi.Result, Stats, error) {
-	if p.used {
-		return nil, Stats{}, errConsumed
-	}
-	p.used = true
-	if p.cachedOK {
-		if err := upi.CtxErr(ctx); err != nil {
-			return nil, Stats{}, err
+	st := p.Stream(ctx)
+	var results []upi.Result
+	for {
+		r, ok, err := st.Next()
+		if err != nil {
+			return nil, st.Stats(), err
 		}
-		return p.cached, p.cachedStats, nil
+		if !ok {
+			return results, st.Stats(), nil
+		}
+		results = append(results, r)
 	}
-	if p.snap == nil {
-		return nil, Stats{}, nil
-	}
-	defer p.snap.release()
-	results, stats, err := p.s.collect(ctx, p.snap, p.plan.q, p.trace)
-	if err != nil {
-		return nil, stats, err
-	}
-	if p.plan.k > 0 && len(results) > p.plan.k {
-		results = results[:p.plan.k]
-	}
-	if p.commitable {
-		p.s.rc.commit(p.ckey, p.cepoch, results, stats)
-	}
-	return results, stats, nil
 }
 
 // Release discards a Prepared without consuming it, dropping every
@@ -512,15 +347,6 @@ func (s *Store) QuerySecondary(ctx context.Context, attr, value string, qt float
 // TopK returns the k highest-confidence matches across all partitions.
 func (s *Store) TopK(ctx context.Context, value string, k int) ([]upi.Result, Stats, error) {
 	return s.Run(ctx, Req{Kind: KindTopK, Value: value, K: k})
-}
-
-func appendLive(dst []upi.Result, src []upi.Result, killers []map[uint64]bool) []upi.Result {
-	for _, r := range src {
-		if !killedBy(killers, r.Tuple.ID) {
-			dst = append(dst, r)
-		}
-	}
-	return dst
 }
 
 func addStats(a, b upi.QueryStats) upi.QueryStats {

@@ -17,8 +17,7 @@ import (
 // source is already sorted, keep picking the best head — applied to
 // query results instead of B+Tree entries.
 //
-// Ordering and content are identical to the materialized Collect:
-// results arrive in (Confidence DESC, tuple ID ASC) order and pass the
+// Results arrive in (Confidence DESC, tuple ID ASC) order and pass the
 // pending-delete/upsert supersedence filter at yield time. For a top-k
 // query the stream stops after k yields and cancels the remaining
 // partition cursors, so pages they never reached are never read — and
@@ -53,19 +52,6 @@ type Stream struct {
 	stats   Stats
 	done    bool
 	err     error
-
-	// Result-cache plumbing: a cache-hit stream replays cached instead
-	// of merging partitions (stats are the stored execution's, final
-	// from the start); a cacheable miss accumulates its yields in acc
-	// and commits them on natural exhaustion — the only termination
-	// that proves the set is complete.
-	fromCache  bool
-	cached     []upi.Result
-	cachedIdx  int
-	acc        []upi.Result
-	ckey       resKey
-	cepoch     uint64
-	commitable bool
 }
 
 // streamPart is one partition's side of the merge.
@@ -81,23 +67,15 @@ type streamPart struct {
 	finished bool
 }
 
-// Stream consumes the Prepared incrementally. Like Collect, it may be
-// called at most once; a Prepared that was already consumed returns a
-// stream that fails immediately.
+// Stream consumes the Prepared incrementally. It may be called at most
+// once (Collect calls it); a Prepared that was already consumed
+// returns a stream that fails immediately.
 func (p *Prepared) Stream(ctx context.Context) *Stream {
 	if p.used {
 		return &Stream{done: true, err: errConsumed}
 	}
 	p.used = true
 	st := &Stream{ctx: ctx, s: p.s, snap: p.snap, cursor: p.plan.cursor, trace: p.trace, k: p.plan.k}
-	if p.cachedOK {
-		st.fromCache = true
-		st.cached = p.cached
-		st.stats = p.cachedStats
-		st.primed = true
-		return st
-	}
-	st.ckey, st.cepoch, st.commitable = p.ckey, p.cepoch, p.commitable
 	if p.snap == nil {
 		st.done = true
 	}
@@ -248,16 +226,6 @@ func (st *Stream) Next() (r upi.Result, ok bool, err error) {
 		st.finish(err)
 		return upi.Result{}, false, err
 	}
-	if st.fromCache {
-		if st.cachedIdx >= len(st.cached) {
-			st.finish(nil)
-			return upi.Result{}, false, nil
-		}
-		r = st.cached[st.cachedIdx]
-		st.cachedIdx++
-		st.yielded++
-		return r, true, nil
-	}
 	if !st.primed {
 		if err := st.prime(); err != nil {
 			st.finish(err)
@@ -303,19 +271,11 @@ func (st *Stream) Next() (r upi.Result, ok bool, err error) {
 			st.finalizePart(best)
 		}
 	default:
-		// Natural exhaustion: every source drained, so the accumulated
-		// yields are the complete result set — the one termination a
-		// cacheable drain may commit from.
-		if st.commitable {
-			st.s.rc.commit(st.ckey, st.cepoch, st.acc, st.stats)
-		}
+		// Natural exhaustion: every source drained.
 		st.finish(nil)
 		return upi.Result{}, false, nil
 	}
 	st.yielded++
-	if st.commitable {
-		st.acc = append(st.acc, r)
-	}
 	return r, true, nil
 }
 

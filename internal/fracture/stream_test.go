@@ -1,17 +1,19 @@
 package fracture
 
-// Tests for the incremental k-way merged stream: golden equivalence
-// with the materialized Collect at every parallelism, exact modeled
-// cost on full drains, per-partition pin release, top-k early
-// termination, and mid-stream cancellation.
+// Tests for the incremental k-way merged stream and Collect, its drain:
+// rows checked against a brute-force oracle at every parallelism,
+// modeled cost against a serial per-partition reference, per-partition
+// pin release, top-k early termination, and mid-stream cancellation.
 
 import (
 	"context"
 	"errors"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"upidb/internal/prob"
 	"upidb/internal/sim"
@@ -44,9 +46,73 @@ func resultKeys(rs []upi.Result) [][2]float64 {
 	return out
 }
 
+// concLive is the live tuple set buildConcStore(nFrac, batch) leaves
+// behind, rebuilt independently of the store: the bulk-loaded base and
+// every fracture batch, minus the one tuple each batch deletes.
+func concLive(nFrac, batch int) map[uint64]*tuple.Tuple {
+	live := make(map[uint64]*tuple.Tuple)
+	n := uint64(4*batch + nFrac*batch)
+	for id := uint64(1); id <= n; id++ {
+		live[id] = concTuple(id, int(id))
+	}
+	for f := 0; f < nFrac; f++ {
+		delete(live, uint64(f*batch+1))
+	}
+	return live
+}
+
+// oracle answers req by brute force over the live tuples, with the
+// PTQ semantics every executor must honour: a tuple matches when it
+// has the value among its alternatives (confidence > 0) at or above
+// the threshold; results order by confidence descending, then ID; a
+// top-k query keeps the first k.
+func oracle(live map[uint64]*tuple.Tuple, primary string, req Req) []upi.Result {
+	attr := primary
+	if req.Attr != "" {
+		attr = req.Attr
+	}
+	var out []upi.Result
+	for _, tup := range live {
+		conf := tup.Confidence(attr, req.Value)
+		if conf > 0 && (req.Kind == KindTopK || conf >= req.QT) {
+			out = append(out, upi.Result{Tuple: tup, Confidence: conf})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Confidence != out[j].Confidence {
+			return out[i].Confidence > out[j].Confidence
+		}
+		return out[i].Tuple.ID < out[j].Tuple.ID
+	})
+	if req.Kind == KindTopK && len(out) > req.K {
+		out = out[:req.K]
+	}
+	return out
+}
+
+// partitionCost is the serial per-partition reference for modeled
+// cost: on a cold cache, each partition's own upi.Table query runs to
+// completion, one partition after another, after its table-open charge
+// — the scan-then-merge execution, partition by partition.
+func partitionCost(t *testing.T, s *Store, disk *sim.Disk, query func(*upi.Table) error) time.Duration {
+	t.Helper()
+	if err := s.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	before := disk.Stats()
+	for _, part := range s.Partitions() {
+		disk.Open(part.Name())
+		if err := query(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return disk.Stats().Sub(before).Elapsed
+}
+
 // TestStreamMatchesCollect: for every query kind and at serial, narrow
-// and wide parallelism, the merged stream yields exactly the results
-// the materialized Collect returns, in identical order.
+// and wide parallelism, the merged stream and Collect both yield
+// exactly the brute-force oracle's rows over the live tuples, in the
+// oracle's order.
 func TestStreamMatchesCollect(t *testing.T) {
 	reqs := []Req{
 		{Kind: KindPTQ, Value: concValue(3), QT: 0.05},
@@ -57,54 +123,58 @@ func TestStreamMatchesCollect(t *testing.T) {
 	}
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		s, _ := buildConcStore(t, 5, 30)
+		live := concLive(5, 30)
 		// Leave work in the RAM buffer so the merge crosses every
 		// partition type, and a pending delete so supersedence applies
 		// at yield time.
-		if err := s.Insert(concTuple(90001, 3)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Insert(concTuple(90002, 4)); err != nil {
-			t.Fatal(err)
+		for _, tup := range []*tuple.Tuple{concTuple(90001, 3), concTuple(90002, 4)} {
+			if err := s.Insert(tup); err != nil {
+				t.Fatal(err)
+			}
+			live[tup.ID] = tup
 		}
 		if err := s.Delete(7); err != nil {
 			t.Fatal(err)
 		}
+		delete(live, 7)
 		for qi, req := range reqs {
 			req.Parallelism = par
-			want, _, err := s.Run(context.Background(), req)
-			if err != nil {
-				t.Fatalf("par=%d q=%d collect: %v", par, qi, err)
+			want := resultKeys(oracle(live, "X", req))
+			if len(want) == 0 {
+				t.Fatalf("par=%d q=%d: oracle is empty; parity vacuous", par, qi)
 			}
 			prep, err := s.Prepare(context.Background(), req)
 			if err != nil {
 				t.Fatalf("par=%d q=%d prepare: %v", par, qi, err)
 			}
-			got := drainStream(t, prep.Stream(context.Background()))
-			if !reflect.DeepEqual(resultKeys(got), resultKeys(want)) {
-				t.Fatalf("par=%d q=%d: stream %d rows diverged from collect %d rows",
-					par, qi, len(got), len(want))
+			if got := resultKeys(drainStream(t, prep.Stream(context.Background()))); !reflect.DeepEqual(got, want) {
+				t.Fatalf("par=%d q=%d: stream diverged from oracle\n got %v\nwant %v", par, qi, got, want)
+			}
+			collected, _, err := s.Run(context.Background(), req)
+			if err != nil {
+				t.Fatalf("par=%d q=%d collect: %v", par, qi, err)
+			}
+			if got := resultKeys(collected); !reflect.DeepEqual(got, want) {
+				t.Fatalf("par=%d q=%d: Collect diverged from oracle\n got %v\nwant %v", par, qi, got, want)
 			}
 		}
 	}
 }
 
-// TestStreamModeledCostMatchesCollect: a fully drained PTQ stream
-// charges exactly the modeled I/O of the materialized execution — the
+// TestStreamModeledCostMatchesCollect: a fully drained PTQ stream —
+// and Collect, which drains it — charges exactly the modeled I/O of
+// the serial per-partition reference, at any parallelism: the
 // per-partition tapes hold the same operations and replay in
-// self-contained batches — at any parallelism.
+// self-contained batches.
 func TestStreamModeledCostMatchesCollect(t *testing.T) {
 	req := Req{Kind: KindPTQ, Value: concValue(3), QT: 0.05}
 	s, disk := buildConcStore(t, 5, 30)
-	if err := s.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := s.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := st.ModeledTime
+	want := partitionCost(t, s, disk, func(part *upi.Table) error {
+		_, _, err := part.Query(context.Background(), req.Value, req.QT)
+		return err
+	})
 	if want <= 0 {
-		t.Fatal("materialized run charged nothing")
+		t.Fatal("reference charged nothing")
 	}
 	for _, par := range []int{1, 4} {
 		req.Parallelism = par
@@ -119,36 +189,41 @@ func TestStreamModeledCostMatchesCollect(t *testing.T) {
 		stream := prep.Stream(context.Background())
 		drainStream(t, stream)
 		if got := stream.Stats().ModeledTime; got != want {
-			t.Fatalf("par=%d: stream modeled %v != collect %v", par, got, want)
+			t.Fatalf("par=%d: stream modeled %v != per-partition reference %v", par, got, want)
 		}
 		if d := disk.Stats().Sub(before); d.Elapsed != stream.Stats().ModeledTime {
 			t.Fatalf("par=%d: disk charged %v, stream reported %v", par, d.Elapsed, stream.Stats().ModeledTime)
+		}
+		if err := s.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		if _, st, err := s.Run(context.Background(), req); err != nil || st.ModeledTime != want {
+			t.Fatalf("par=%d: Collect modeled %v (err %v), reference %v", par, st.ModeledTime, err, want)
 		}
 	}
 }
 
 // TestStreamTopKEarlyTermination: a top-k stream over many partitions
 // yields its first result — and its full k results — for strictly
-// less modeled I/O than the materialized execution, which scans every
-// partition (including every fracture's cutoff chase) before returning
-// anything. The store is engineered so the main partition holds plenty
-// of high-confidence matches while every fracture has fewer than k
-// heap matches plus many below-cutoff alternatives: the materialized
-// per-partition TopK must chase every fracture's cutoff pointers,
-// while the merged stream fills its k results from the main partition
-// and never pulls any fracture past its first head.
+// less modeled I/O than the materialized reference, which runs every
+// partition's own top-k to completion (including every fracture's
+// cutoff chase) before returning anything. The store is engineered so
+// the main partition holds plenty of high-confidence matches while
+// every fracture has fewer than k heap matches plus many below-cutoff
+// alternatives: each per-partition TopK must chase its fracture's
+// cutoff pointers, while the merged stream fills its k results from
+// the main partition and never pulls any fracture past its first
+// head. Collect, a drain of the same stream, stops at the k-th result
+// and charges the streamed cost.
 func TestStreamTopKEarlyTermination(t *testing.T) {
-	hot := func(id uint64, conf float64) *tuple.Tuple {
-		x, err := prob.NewDiscrete([]prob.Alternative{{Value: "hot", Prob: conf}})
-		if err != nil {
-			t.Fatal(err)
+	// hot is "hot" at conf; a cold tuple is "cold" at 0.8 with "hot" at
+	// 0.1 — below the cutoff, so it lives in the fracture's cutoff index.
+	hot := func(id uint64, conf float64, cold bool) *tuple.Tuple {
+		alts := []prob.Alternative{{Value: "hot", Prob: conf}}
+		if cold {
+			alts = []prob.Alternative{{Value: "cold", Prob: 0.8}, {Value: "hot", Prob: 0.1}}
 		}
-		return &tuple.Tuple{ID: id, Existence: 1, Unc: []tuple.UncField{{Name: "X", Dist: x}}}
-	}
-	coldHot := func(id uint64) *tuple.Tuple {
-		x, err := prob.NewDiscrete([]prob.Alternative{
-			{Value: "cold", Prob: 0.8}, {Value: "hot", Prob: 0.1},
-		})
+		x, err := prob.NewDiscrete(alts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,30 +231,28 @@ func TestStreamTopKEarlyTermination(t *testing.T) {
 	}
 	disk := sim.NewDisk(sim.DefaultParams())
 	fs := storage.NewFS(disk)
+	live := make(map[uint64]*tuple.Tuple)
 	id := uint64(1)
 	var base []*tuple.Tuple
 	for i := 0; i < 60; i++ {
-		base = append(base, hot(id, 0.5+float64(i)*0.008))
+		base = append(base, hot(id, 0.5+float64(i)*0.008, false))
+		live[id] = base[i]
 		id++
 	}
 	s, err := BulkLoad(fs, "topk", "X", nil, Config{UPI: upi.Options{Cutoff: 0.15}}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for f := 0; f < 6; f++ {
-		for j := 0; j < 4; j++ {
-			if err := s.Insert(hot(id, 0.2+float64(f*4+j)*0.01)); err != nil {
-				t.Fatal(err)
-			}
-			id++
+	insert := func(tup *tuple.Tuple) {
+		if err := s.Insert(tup); err != nil {
+			t.Fatal(err)
 		}
-		for j := 0; j < 20; j++ {
-			// "hot" at confidence 0.1 — below the cutoff, so it lives
-			// in the fracture's cutoff index.
-			if err := s.Insert(coldHot(id)); err != nil {
-				t.Fatal(err)
-			}
-			id++
+		live[tup.ID] = tup
+		id++
+	}
+	for f := 0; f < 6; f++ {
+		for j := 0; j < 24; j++ {
+			insert(hot(id, 0.2+float64(f*4+j)*0.01, j >= 4))
 		}
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
@@ -187,18 +260,13 @@ func TestStreamTopKEarlyTermination(t *testing.T) {
 	}
 
 	req := Req{Kind: KindTopK, Value: "hot", K: 20, Parallelism: 1}
-
-	if err := s.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	before := disk.Stats()
-	want, _, err := s.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullCost := disk.Stats().Sub(before).Elapsed
+	want := oracle(live, "X", req)
+	fullCost := partitionCost(t, s, disk, func(part *upi.Table) error {
+		_, _, err := part.TopK(context.Background(), req.Value, req.K)
+		return err
+	})
 	if len(want) != req.K || fullCost <= 0 {
-		t.Fatalf("materialized top-k: %d rows, cost %v", len(want), fullCost)
+		t.Fatalf("reference top-k: %d rows, cost %v", len(want), fullCost)
 	}
 
 	// First result: the stream needs one head per partition, not any
@@ -206,7 +274,7 @@ func TestStreamTopKEarlyTermination(t *testing.T) {
 	if err := s.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	before = disk.Stats()
+	before := disk.Stats()
 	prep, err := s.Prepare(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +291,7 @@ func TestStreamTopKEarlyTermination(t *testing.T) {
 	stream.Close()
 	firstCost := disk.Stats().Sub(before).Elapsed
 	if firstCost >= fullCost {
-		t.Fatalf("first-result cost %v not below materialized cost %v", firstCost, fullCost)
+		t.Fatalf("first-result cost %v not below per-partition reference %v", firstCost, fullCost)
 	}
 
 	// Full streamed top-k: same k results, strictly less modeled I/O.
@@ -239,10 +307,18 @@ func TestStreamTopKEarlyTermination(t *testing.T) {
 	got := drainStream(t, stream)
 	streamCost := disk.Stats().Sub(before).Elapsed
 	if !reflect.DeepEqual(resultKeys(got), resultKeys(want)) {
-		t.Fatalf("streamed top-k diverged from materialized")
+		t.Fatalf("streamed top-k diverged from oracle")
 	}
 	if streamCost >= fullCost {
-		t.Fatalf("streamed top-k cost %v not below materialized %v", streamCost, fullCost)
+		t.Fatalf("streamed top-k cost %v not below per-partition reference %v", streamCost, fullCost)
+	}
+	if err := s.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	collected, st, err := s.Run(context.Background(), req)
+	if err != nil || !reflect.DeepEqual(resultKeys(collected), resultKeys(want)) || st.ModeledTime != streamCost {
+		t.Fatalf("Collect: %d rows, modeled %v (err %v); want %d rows at the streamed %v",
+			len(collected), st.ModeledTime, err, len(want), streamCost)
 	}
 }
 

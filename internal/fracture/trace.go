@@ -23,15 +23,13 @@ const (
 	// during scatter. Emitted once per shard, before the shard's
 	// partition snapshot is pinned.
 	TraceDispatch = "shard.dispatch"
-	// TraceScanStart marks one partition scan (materialized) or
-	// partition cursor (streaming) starting.
+	// TraceScanStart marks one partition cursor starting.
 	TraceScanStart = "partition.scan.start"
 	// TraceScanEnd marks one partition finishing: scanned to
 	// completion, exhausted, or cancelled.
 	TraceScanEnd = "partition.scan.end"
 	// TraceYield marks the merged stream yielding one result,
-	// identifying the shard that produced it. Emitted on the streaming
-	// path only.
+	// identifying the shard that produced it. It carries no Detail.
 	TraceYield = "merge.yield"
 )
 
@@ -46,8 +44,9 @@ type TraceEvent struct {
 	// i >= 1 = fracture i-1); meaningful for scan events only.
 	Part int
 	// Detail is a human-readable annotation: the partition table name
-	// for scan events, the verdict for admission, the yielded tuple
-	// for merge.yield.
+	// for scan events, the store name for dispatch, the verdict for
+	// admission. It is empty for merge.yield, which fires once per
+	// result.
 	Detail string
 }
 

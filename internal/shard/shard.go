@@ -318,10 +318,10 @@ func (t *Table) Merge() error { return t.each((*fracture.Store).Merge) }
 // safe.
 func (t *Table) Close() error { return t.each((*fracture.Store).Close) }
 
-// DropCaches empties every shard's buffer pools, plan cache and result
-// cache — after it, every query cold-starts: pages re-read, plans
-// re-costed, point results re-executed. This is what keeps upibench's
-// cold-cache modeled runs deterministic even with caching layered on.
+// DropCaches empties every shard's buffer pools and plan cache — after
+// it, every query cold-starts: pages re-read, plans re-costed. This is
+// what keeps upibench's cold-cache modeled runs deterministic with the
+// plan cache on.
 func (t *Table) DropCaches() error {
 	for _, p := range t.planners {
 		p.DropPlanCache()
@@ -557,7 +557,7 @@ func (t *Table) HasHistogram(attr string) bool {
 // request; per-shard trace events are stamped with the shard index and
 // a dispatch event is emitted per shard. On any failure the already
 // pinned shards are released and the error returned. The gather half
-// is the returned Prepared's Collect or Stream.
+// is the returned Prepared's Stream.
 func (t *Table) Prepare(ctx context.Context, req fracture.Req) (*Prepared, error) {
 	trace := req.Trace
 	preps := make([]*fracture.Prepared, len(t.stores))
@@ -576,7 +576,7 @@ func (t *Table) Prepare(ctx context.Context, req fracture.Req) (*Prepared, error
 		}
 		preps[i] = p
 	}
-	return &Prepared{table: t, preps: preps, k: req.K, trace: trace, met: t.met}, nil
+	return &Prepared{preps: preps, k: req.K, trace: trace, met: t.met}, nil
 }
 
 // stampShard wraps a trace function so every event the shard's engine

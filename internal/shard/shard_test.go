@@ -1,20 +1,25 @@
 package shard
 
 // Golden parity tests for the shard-per-core table: a sharded table at
-// every shard count must return exactly the results — same set, same
-// global confidence order — an unsharded store returns for the same
-// logical workload, with the single-shard case additionally
-// byte-identical in modeled cost. Plus: top-k early termination across
-// shards, pin release, shard-count persistence, trace span stamping,
-// and a race-enabled concurrent soak.
+// every shard count must return exactly the rows — same set, same
+// global confidence order — a brute-force oracle computes over the
+// live tuples of the same logical workload, with the single-shard case
+// additionally byte-identical in statistics to an unsharded store.
+// Modeled PTQ cost is checked against a serial per-partition
+// reference. Plus: top-k early termination across shards, pin release,
+// shard-count persistence, trace span stamping, and a race-enabled
+// concurrent soak.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"upidb/internal/fracture"
 	"upidb/internal/prob"
@@ -57,6 +62,75 @@ type mutator interface {
 	Insert(*tuple.Tuple) error
 	Delete(uint64) error
 	Flush() error
+}
+
+// liveSet is the oracle's side of the workload: a plain map of the
+// live tuples, mutated exactly as the engine is.
+type liveSet map[uint64]*tuple.Tuple
+
+func (m liveSet) Insert(tup *tuple.Tuple) error { m[tup.ID] = tup; return nil }
+func (m liveSet) Delete(id uint64) error        { delete(m, id); return nil }
+func (m liveSet) Flush() error                  { return nil }
+
+// parityLive is the live tuple set buildSharded and buildUnsharded
+// leave behind.
+func parityLive(t testing.TB) liveSet {
+	live := liveSet{}
+	for _, tup := range parityBase() {
+		live.Insert(tup)
+	}
+	applyWorkload(t, live)
+	return live
+}
+
+// oracle answers req by brute force over the live tuples: matches have
+// the value among their alternatives (confidence > 0) at or above the
+// threshold, ordered by confidence descending then ID; a top-k query
+// keeps the first k.
+func oracle(live liveSet, req fracture.Req) []upi.Result {
+	attr := req.Attr
+	if attr == "" {
+		attr = "X"
+	}
+	var out []upi.Result
+	for _, tup := range live {
+		conf := tup.Confidence(attr, req.Value)
+		if conf > 0 && (req.Kind == fracture.KindTopK || conf >= req.QT) {
+			out = append(out, upi.Result{Tuple: tup, Confidence: conf})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Confidence != out[j].Confidence {
+			return out[i].Confidence > out[j].Confidence
+		}
+		return out[i].Tuple.ID < out[j].Tuple.ID
+	})
+	if req.Kind == fracture.KindTopK && len(out) > req.K {
+		out = out[:req.K]
+	}
+	return out
+}
+
+// partitionCost is the serial per-partition reference for modeled
+// cost: on a cold cache, every shard's partitions in turn, each
+// charged its table-open cost and then its own upi.Table query run to
+// completion — the scan-then-merge execution, partition by partition.
+func partitionCost(t *testing.T, tab *Table, fs *storage.FS, query func(*upi.Table) error) time.Duration {
+	t.Helper()
+	if err := tab.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	disk := fs.Disk()
+	before := disk.Stats()
+	for _, s := range tab.stores {
+		for _, part := range s.Partitions() {
+			disk.Open(part.Name())
+			if err := query(part); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return disk.Stats().Sub(before).Elapsed
 }
 
 // applyWorkload layers fractures, deletes and a live RAM buffer (with a
@@ -155,61 +229,63 @@ func drain(t *testing.T, st *Stream) []upi.Result {
 	}
 }
 
-// TestShardParity: at shard counts 1, 2 and 7, both consumption paths
-// of the sharded table (materialized Collect, merged Stream) return
-// exactly the unsharded store's results in the same global confidence
-// order; Collect and a full Stream drain agree on summed modeled cost;
-// and the single-shard table reports modeled costs byte-identical to
-// the unsharded store's.
+// TestShardParity: at shard counts 1, 2 and 7, the merged Stream of
+// the sharded table returns exactly the oracle's rows in the same
+// global confidence order; a fully drained PTQ charges exactly the
+// serial per-partition reference's modeled cost; and the single-shard
+// table reports statistics byte-identical to the unsharded store's.
 func TestShardParity(t *testing.T) {
 	ref, _ := buildUnsharded(t)
 	defer ref.Close()
+	live := parityLive(t)
 	ctx := context.Background()
 	for _, n := range []int{1, 2, 7} {
-		tab, _ := buildSharded(t, n)
+		tab, fs := buildSharded(t, n)
 		if got := tab.NumShards(); got != n {
 			t.Fatalf("n=%d: NumShards=%d", n, got)
 		}
 		for qi, req := range parityReqs() {
-			want, wantStats, err := ref.Run(ctx, req)
-			if err != nil {
-				t.Fatalf("n=%d q=%d ref: %v", n, qi, err)
+			want := keys(oracle(live, req))
+			if len(want) == 0 {
+				t.Fatalf("q=%d: oracle is empty; parity vacuous", qi)
 			}
-
+			// Both stores start cold, so their stats are comparable.
+			if err := errors.Join(tab.DropCaches(), ref.DropCaches()); err != nil {
+				t.Fatal(err)
+			}
 			prep, err := tab.Prepare(ctx, req)
 			if err != nil {
 				t.Fatalf("n=%d q=%d prepare: %v", n, qi, err)
 			}
-			got, gotStats, err := prep.Collect(ctx)
-			if err != nil {
-				t.Fatalf("n=%d q=%d collect: %v", n, qi, err)
-			}
-			if !reflect.DeepEqual(keys(got), keys(want)) {
-				t.Fatalf("n=%d q=%d: sharded Collect diverged\n got %v\nwant %v", n, qi, keys(got), keys(want))
-			}
-
-			prep, err = tab.Prepare(ctx, req)
-			if err != nil {
-				t.Fatalf("n=%d q=%d prepare stream: %v", n, qi, err)
-			}
 			stream := prep.Stream(ctx)
-			streamed := drain(t, stream)
-			if !reflect.DeepEqual(keys(streamed), keys(want)) {
-				t.Fatalf("n=%d q=%d: sharded Stream diverged\n got %v\nwant %v", n, qi, keys(streamed), keys(want))
-			}
-
-			// Summed modeled cost: on full drains (everything but top-k,
-			// where the stream's early termination legitimately reads
-			// less) both consumption paths charge the same total.
-			if req.Kind != fracture.KindTopK {
-				if sc := stream.Stats(); sc.ModeledTime != gotStats.ModeledTime {
-					t.Fatalf("n=%d q=%d: stream modeled cost %v != collect %v", n, qi, sc.ModeledTime, gotStats.ModeledTime)
-				}
+			if got := keys(drain(t, stream)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d q=%d: sharded Stream diverged\n got %v\nwant %v", n, qi, got, want)
 			}
 			// One shard is the unsharded layout: identical stats to the
-			// reference store, modeled cost included.
-			if n == 1 && !reflect.DeepEqual(gotStats, wantStats) {
-				t.Fatalf("q=%d: single-shard stats diverged\n got %+v\nwant %+v", qi, gotStats, wantStats)
+			// unsharded store, modeled cost included.
+			if n == 1 {
+				if _, refStats, err := ref.Run(ctx, req); err != nil || !reflect.DeepEqual(stream.Stats(), refStats) {
+					t.Fatalf("q=%d: single-shard stats diverged (ref err %v)\n got %+v\nwant %+v", qi, err, stream.Stats(), refStats)
+				}
+			}
+			if req.Kind != fracture.KindPTQ {
+				continue
+			}
+			wantCost := partitionCost(t, tab, fs, func(part *upi.Table) error {
+				_, _, err := part.Query(ctx, req.Value, req.QT)
+				return err
+			})
+			if err := tab.DropCaches(); err != nil {
+				t.Fatal(err)
+			}
+			prep, err = tab.Prepare(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream = prep.Stream(ctx)
+			drain(t, stream)
+			if got := stream.Stats().ModeledTime; wantCost <= 0 || got != wantCost {
+				t.Fatalf("n=%d q=%d: stream modeled %v != per-partition reference %v", n, qi, got, wantCost)
 			}
 		}
 		if err := tab.Close(); err != nil {
@@ -219,35 +295,35 @@ func TestShardParity(t *testing.T) {
 }
 
 // TestShardTopKTermination: the merged stream stops at exactly k
-// yields, charges strictly less modeled I/O than the materialized
-// scatter-gather (which scans every shard's every partition, cutoff
-// chases included), and leaves no partition pinned — after a merge no
+// yields, returns the oracle's top k, charges strictly less modeled
+// I/O than the per-partition reference (every shard's every partition
+// running its own top-k to completion, cutoff chases included), and
+// leaves no partition pinned — after a merge no
 // old-generation fracture file survives. The store mirrors the
 // unsharded early-termination test: mains rich in high-confidence
 // matches, fractures full of below-cutoff alternatives the stream
 // never has to chase.
 func TestShardTopKTermination(t *testing.T) {
-	hot := func(id uint64, conf float64) *tuple.Tuple {
-		x, err := prob.NewDiscrete([]prob.Alternative{{Value: "hot", Prob: conf}})
-		if err != nil {
-			t.Fatal(err)
+	// hot is "hot" at conf; a cold tuple is "cold" at 0.8 with "hot" at
+	// 0.1 — below the cutoff, so it lives in the fracture's cutoff index.
+	hot := func(id uint64, conf float64, cold bool) *tuple.Tuple {
+		alts := []prob.Alternative{{Value: "hot", Prob: conf}}
+		if cold {
+			alts = []prob.Alternative{{Value: "cold", Prob: 0.8}, {Value: "hot", Prob: 0.1}}
 		}
-		return &tuple.Tuple{ID: id, Existence: 1, Unc: []tuple.UncField{{Name: "X", Dist: x}}}
-	}
-	coldHot := func(id uint64) *tuple.Tuple {
-		x, err := prob.NewDiscrete([]prob.Alternative{
-			{Value: "cold", Prob: 0.8}, {Value: "hot", Prob: 0.1},
-		})
+		x, err := prob.NewDiscrete(alts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return &tuple.Tuple{ID: id, Existence: 1, Unc: []tuple.UncField{{Name: "X", Dist: x}}}
 	}
 	fs := storage.NewFS(sim.NewDisk(sim.DefaultParams()))
+	live := liveSet{}
 	id := uint64(1)
 	var base []*tuple.Tuple
 	for i := 0; i < 90; i++ {
-		base = append(base, hot(id, 0.5+float64(i)*0.005))
+		base = append(base, hot(id, 0.5+float64(i)*0.005, false))
+		live.Insert(base[i])
 		id++
 	}
 	tab, err := BulkLoad(fs, "topk", "X", nil, parityCfg(), 3, sim.DefaultParams(), base)
@@ -255,18 +331,16 @@ func TestShardTopKTermination(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tab.Close()
-	for f := 0; f < 6; f++ {
-		for j := 0; j < 6; j++ {
-			if err := tab.Insert(hot(id, 0.2+float64(f*6+j)*0.005)); err != nil {
-				t.Fatal(err)
-			}
-			id++
+	insert := func(tup *tuple.Tuple) {
+		if err := tab.Insert(tup); err != nil {
+			t.Fatal(err)
 		}
-		for j := 0; j < 30; j++ {
-			if err := tab.Insert(coldHot(id)); err != nil {
-				t.Fatal(err)
-			}
-			id++
+		live.Insert(tup)
+		id++
+	}
+	for f := 0; f < 6; f++ {
+		for j := 0; j < 36; j++ {
+			insert(hot(id, 0.2+float64(f*6+j)*0.005, j >= 6))
 		}
 		if err := tab.Flush(); err != nil {
 			t.Fatal(err)
@@ -276,6 +350,15 @@ func TestShardTopKTermination(t *testing.T) {
 	ctx := context.Background()
 	req := fracture.Req{Kind: fracture.KindTopK, Value: "hot", K: 20, Parallelism: 1}
 
+	want := oracle(live, req)
+	fullCost := partitionCost(t, tab, fs, func(part *upi.Table) error {
+		_, _, err := part.TopK(ctx, req.Value, req.K)
+		return err
+	})
+	if len(want) != req.K || fullCost <= 0 {
+		t.Fatalf("reference top-k: %d rows, cost %v", len(want), fullCost)
+	}
+
 	if err := tab.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,31 +366,16 @@ func TestShardTopKTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, fullStats, err := prep.Collect(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != req.K || fullStats.ModeledTime <= 0 {
-		t.Fatalf("materialized top-k: %d rows, cost %v", len(want), fullStats.ModeledTime)
-	}
-
-	if err := tab.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	prep, err = tab.Prepare(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stream := prep.Stream(ctx)
 	got := drain(t, stream)
 	if !reflect.DeepEqual(keys(got), keys(want)) {
-		t.Fatalf("streamed top-k diverged from materialized")
+		t.Fatalf("streamed top-k diverged from oracle")
 	}
 	if _, ok, err := stream.Next(); ok || err != nil {
 		t.Fatalf("stream resumed after top-k termination: ok=%v err=%v", ok, err)
 	}
-	if early := stream.Stats().ModeledTime; early >= fullStats.ModeledTime {
-		t.Fatalf("top-k stream charged %v, not less than materialized %v", early, fullStats.ModeledTime)
+	if early := stream.Stats().ModeledTime; early >= fullCost {
+		t.Fatalf("top-k stream charged %v, not less than per-partition reference %v", early, fullCost)
 	}
 
 	// A released (unconsumed) Prepared and the terminated stream must
@@ -328,8 +396,8 @@ func TestShardTopKTermination(t *testing.T) {
 	}
 	if rs, err := tab.Prepare(ctx, req); err != nil {
 		t.Fatal(err)
-	} else if res, _, err := rs.Collect(ctx); err != nil || len(res) == 0 {
-		t.Fatalf("table broken after top-k + merge: %v (%d rows)", err, len(res))
+	} else if res := drain(t, rs.Stream(ctx)); len(res) == 0 {
+		t.Fatal("table broken after top-k + merge: no rows")
 	}
 }
 
@@ -377,11 +445,7 @@ func TestShardPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := rs.Collect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 30 {
+	if res := drain(t, rs.Stream(context.Background())); len(res) != 30 {
 		t.Fatalf("reopened table has %d tuples, want 30", len(res))
 	}
 	if err := tab.Close(); err != nil {
@@ -497,31 +561,40 @@ func TestShardOfSpread(t *testing.T) {
 	}
 }
 
-// TestShardSoak: concurrent writers, readers on both consumption
-// paths, and flush/merge churn across every shard — the -race target.
+// TestShardSoak: concurrent writers, readers draining streams fully
+// and partially, and flush/merge churn across every shard — the -race
+// target. The converged table answers exactly what the oracle does.
 func TestShardSoak(t *testing.T) {
 	tab, _ := buildSharded(t, 4)
 	defer tab.Close()
+	live := parityLive(t)
 	ctx := context.Background()
 
+	// write is writer w's workload; writers own disjoint ID ranges, so
+	// replaying them on the oracle in any order gives the same set.
+	write := func(m mutator, w int) error {
+		id := uint64(10_000 + w*1_000)
+		for i := 0; i < 150; i++ {
+			if err := m.Insert(parityTuple(id, int(id))); err != nil {
+				return err
+			}
+			if i%10 == 9 {
+				if err := m.Delete(id - 5); err != nil {
+					return err
+				}
+			}
+			id++
+		}
+		return nil
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
+		write(live, w)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			id := uint64(10_000 + w*1_000)
-			for i := 0; i < 150; i++ {
-				if err := tab.Insert(parityTuple(id, int(id))); err != nil {
-					t.Error(err)
-					return
-				}
-				if i%10 == 9 {
-					if err := tab.Delete(id - 5); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-				id++
+			if err := write(tab, w); err != nil {
+				t.Error(err)
 			}
 		}(w)
 	}
@@ -539,24 +612,20 @@ func TestShardSoak(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if (i+r)%2 == 0 {
-					if _, _, err := prep.Collect(ctx); err != nil {
+				// Every other query stops after a few results and
+				// closes the stream mid-drain.
+				st := prep.Stream(ctx)
+				for n := 0; (i+r)%2 == 0 || n < 3; n++ {
+					_, ok, err := st.Next()
+					if err != nil {
 						t.Error(err)
 						return
 					}
-				} else {
-					st := prep.Stream(ctx)
-					for {
-						_, ok, err := st.Next()
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						if !ok {
-							break
-						}
+					if !ok {
+						break
 					}
 				}
+				st.Close()
 			}
 		}(r)
 	}
@@ -578,22 +647,14 @@ func TestShardSoak(t *testing.T) {
 	}()
 	wg.Wait()
 
-	// Converged state: both consumption paths agree exactly.
+	// Converged state: exactly the oracle's answer.
 	req := fracture.Req{Kind: fracture.KindPTQ, Value: parityVal(3), QT: 0.05}
 	prep, err := tab.Prepare(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := prep.Collect(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err = tab.Prepare(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drain(t, prep.Stream(ctx))
-	if !reflect.DeepEqual(keys(got), keys(want)) {
-		t.Fatalf("post-soak paths diverged:\n got %v\nwant %v", keys(got), keys(want))
+	got, want := keys(drain(t, prep.Stream(ctx))), keys(oracle(live, req))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("post-soak answer diverged from oracle:\n got %v\nwant %v", got, want)
 	}
 }

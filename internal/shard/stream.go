@@ -2,8 +2,7 @@ package shard
 
 import (
 	"context"
-	"fmt"
-	"sort"
+	"errors"
 	"sync"
 
 	"upidb/internal/fracture"
@@ -12,13 +11,11 @@ import (
 )
 
 // Prepared is a query scattered across every shard: one pinned
-// fracture.Prepared per shard. Exactly one of Collect (materialized)
-// or Stream (incremental gather) may consume it; Release discards an
-// unconsumed Prepared. Per-shard pins release independently — a shard
-// whose stream is exhausted frees its partitions while slower shards
-// are still scanning.
+// fracture.Prepared per shard. Stream consumes it, at most once;
+// Release discards an unconsumed Prepared. Per-shard pins release
+// independently — a shard whose stream is exhausted frees its
+// partitions while slower shards are still scanning.
 type Prepared struct {
-	table *Table
 	preps []*fracture.Prepared
 	k     int
 	trace fracture.TraceFunc
@@ -27,7 +24,7 @@ type Prepared struct {
 }
 
 // errConsumed reports a second consumption of a Prepared.
-var errConsumed = fmt.Errorf("shard: prepared query already consumed")
+var errConsumed = errors.New("shard: prepared query already consumed")
 
 // Release discards an unconsumed Prepared, dropping every shard's
 // partition pins. Idempotent; consuming paths release on their own.
@@ -50,63 +47,6 @@ func addFracStats(agg *fracture.Stats, st fracture.Stats) {
 	agg.PartitionsRead += st.PartitionsRead
 	agg.BufferHits += st.BufferHits
 	agg.ModeledTime += st.ModeledTime
-}
-
-// Collect executes the query the materialized way on every shard in
-// parallel, then merges the per-shard result sets into one globally
-// (Confidence DESC, ID ASC)-ordered set, truncated to k for a top-k
-// query (each shard already returned at most its local top k, and the
-// global top k is a subset of the union of the local ones). Statistics
-// aggregate across shards; on failure the first failing shard's error
-// (by shard index, for determinism) is returned with the aggregated
-// partial statistics.
-func (p *Prepared) Collect(ctx context.Context) ([]upi.Result, fracture.Stats, error) {
-	if p.used {
-		return nil, fracture.Stats{}, errConsumed
-	}
-	p.used = true
-	n := len(p.preps)
-	if n == 1 {
-		return p.preps[0].Collect(ctx)
-	}
-	type out struct {
-		rs  []upi.Result
-		st  fracture.Stats
-		err error
-	}
-	outs := make([]out, n)
-	var wg sync.WaitGroup
-	for i, sub := range p.preps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rs, st, err := sub.Collect(ctx)
-			outs[i] = out{rs: rs, st: st, err: err}
-		}()
-	}
-	wg.Wait()
-
-	var agg fracture.Stats
-	var results []upi.Result
-	for i := range outs {
-		addFracStats(&agg, outs[i].st)
-		if outs[i].err != nil {
-			return nil, agg, outs[i].err
-		}
-		results = append(results, outs[i].rs...)
-	}
-	sortResults(results)
-	if p.k > 0 && len(results) > p.k {
-		results = results[:p.k]
-	}
-	return results, agg, nil
-}
-
-// sortResults orders results (Confidence DESC, ID ASC) — the engine's
-// canonical result order. IDs are unique across shards (each lives on
-// exactly one), so the order is total.
-func sortResults(rs []upi.Result) {
-	sort.Slice(rs, func(i, j int) bool { return resultBefore(rs[i], rs[j]) })
 }
 
 // Stream consumes the Prepared incrementally: a k-way merge over the
@@ -135,9 +75,8 @@ type subStream struct {
 
 // Stream is the gathered, globally ordered result stream of a sharded
 // query. Semantics mirror fracture.Stream: single-consumer, context
-// checked between pulls, top-k stops — and cancels every shard's
-// remaining scans — at the k-th yield, and a fully drained stream's
-// aggregated statistics equal the materialized Collect's.
+// checked between pulls, and top-k stops — and cancels every shard's
+// remaining scans — at the k-th yield.
 //
 // The merge is lazy: after the priming pull only the shard whose head
 // was yielded is advanced, so a one-shard table drives its underlying
@@ -267,11 +206,7 @@ func (st *Stream) Next() (r upi.Result, ok bool, err error) {
 	st.last = best
 	st.yielded++
 	if st.trace != nil {
-		st.trace(fracture.TraceEvent{
-			Kind:   fracture.TraceYield,
-			Shard:  best.shard,
-			Detail: fmt.Sprintf("tuple %d conf %.6f", r.Tuple.ID, r.Confidence),
-		})
+		st.trace(fracture.TraceEvent{Kind: fracture.TraceYield, Shard: best.shard})
 	}
 	return r, true, nil
 }

@@ -1,11 +1,11 @@
 package upidb
 
-// Prepared-query and caching tests: golden parity between uncached
-// Run, Prepared execution and result-cached tables at several shard
-// counts; plan-cache invalidation across merge rebuilds, flushes and
-// staleness transitions; option-scope validation for the redesigned
-// spatial options; and a race-enabled soak of shared Prepared handles
-// against concurrent maintenance.
+// Prepared-query and plan-cache tests: golden parity between Run,
+// Prepared execution and Collect at several shard counts; plan-cache
+// invalidation across merge rebuilds, flushes and staleness
+// transitions; option-scope validation for the spatial options; and a
+// race-enabled soak of shared Prepared handles against concurrent
+// maintenance.
 
 import (
 	"context"
@@ -16,20 +16,33 @@ import (
 	"testing"
 )
 
-// runCollect drains one execution and returns its ordered (id,
-// confidence) pairs plus the final QueryInfo.
-func runCollect(t *testing.T, run func(context.Context) (*Results, error)) ([][2]float64, QueryInfo) {
+// runCollect executes one query, consumes the handle through a full
+// All drain (or, with viaCollect, through Collect) and returns its
+// ordered (id, confidence) pairs plus the final QueryInfo.
+func runCollect(t *testing.T, run func(context.Context) (*Results, error), viaCollect bool) ([][2]float64, QueryInfo) {
 	t.Helper()
 	res, err := run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out [][2]float64
-	for r, err := range res.All() {
-		if err != nil {
-			t.Fatal(err)
+	rows := res.Collect
+	if !viaCollect {
+		rows = func() (rs []Result) {
+			for r, err := range res.All() {
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs = append(rs, r)
+			}
+			return rs
 		}
+	}
+	var out [][2]float64
+	for _, r := range rows() {
 		out = append(out, [2]float64{float64(r.Tuple.ID), r.Confidence})
+	}
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
 	}
 	return out, res.Info()
 }
@@ -42,19 +55,20 @@ func sansSource(i QueryInfo) QueryInfo {
 }
 
 // TestPreparedAndCachedParity: at shard counts 1, 2 and 7, for every
-// query kind and routing, a Prepared handle's executions and a
-// result-cached table's executions (cold and warm) are byte-identical
-// to the plain Run — same results, same statistics, same modeled cost.
-// Only PlanSource may differ, flipping to cached-plan on repeats.
+// query kind and routing, a Prepared handle's executions and a Run
+// consumed with Collect are byte-identical to a plain Run drained
+// through All — same results, same statistics, same modeled cost. For
+// the top-k input this pins the one contract Collect and All share: both
+// stop at the k-th result and charge the same streamed cost. Only
+// PlanSource may differ, flipping to cached-plan on repeats.
 func TestPreparedAndCachedParity(t *testing.T) {
-	build := func(t *testing.T, shards int, name string, opts ...Option) *Table {
+	build := func(t *testing.T, shards int, name string) *Table {
 		db := mustCreate(t)
 		var load []*Tuple
 		for i := 0; i < 150; i++ {
 			load = append(load, shardTestTuple(t, uint64(i+1), i+1))
 		}
-		opts = append([]Option{WithCutoff(0.15), WithShards(shards)}, opts...)
-		tab, err := db.BulkLoadTable(name, "X", []string{"Y"}, load, opts...)
+		tab, err := db.BulkLoadTable(name, "X", []string{"Y"}, load, WithCutoff(0.15), WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,28 +102,29 @@ func TestPreparedAndCachedParity(t *testing.T) {
 	for _, shards := range []int{1, 2, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			plain := build(t, shards, "plain")
-			cached := build(t, shards, "cached", WithResultCache(32))
 			for qi, q := range queries {
 				goldenRes, goldenInfo := runCollect(t, func(ctx context.Context) (*Results, error) {
 					return plain.Run(ctx, q)
-				})
+				}, false)
 				prep, err := plain.Prepare(q)
 				if err != nil {
 					t.Fatalf("q=%d: prepare: %v", qi, err)
 				}
 				type exec struct {
-					label string
-					run   func(context.Context) (*Results, error)
+					label      string
+					run        func(context.Context) (*Results, error)
+					viaCollect bool
 				}
+				plainRun := func(ctx context.Context) (*Results, error) { return plain.Run(ctx, q) }
 				execs := []exec{
-					{"plain repeat", func(ctx context.Context) (*Results, error) { return plain.Run(ctx, q) }},
-					{"prepared 1", prep.Run},
-					{"prepared 2", prep.Run},
-					{"result-cache cold", func(ctx context.Context) (*Results, error) { return cached.Run(ctx, q) }},
-					{"result-cache warm", func(ctx context.Context) (*Results, error) { return cached.Run(ctx, q) }},
+					{"plain repeat", plainRun, false},
+					{"prepared 1", prep.Run, false},
+					{"prepared 2", prep.Run, false},
+					{"collect", plainRun, true},
+					{"prepared collect", prep.Run, true},
 				}
 				for _, e := range execs {
-					res, info := runCollect(t, e.run)
+					res, info := runCollect(t, e.run, e.viaCollect)
 					if !reflect.DeepEqual(res, goldenRes) {
 						t.Fatalf("q=%d %s: results diverged\n got %v\nwant %v", qi, e.label, res, goldenRes)
 					}
@@ -144,7 +159,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		t.Helper()
 		res, info := runCollect(t, func(ctx context.Context) (*Results, error) {
 			return tab.Run(ctx, q)
-		})
+		}, false)
 		if info.PlanSource != wantSource {
 			t.Fatalf("%s: plan source %q, want %q", stage, info.PlanSource, wantSource)
 		}
@@ -207,13 +222,13 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	forced := q.WithPlanner()
 	res, info := runCollect(t, func(ctx context.Context) (*Results, error) {
 		return tab.Run(ctx, forced)
-	})
+	}, false)
 	if info.PlanSource != PlanSourceForced {
 		t.Fatalf("forced after crossing: %q (cached plan outlived its statistics)", info.PlanSource)
 	}
 	res2, info2 := runCollect(t, func(ctx context.Context) (*Results, error) {
 		return tab.Run(ctx, forced)
-	})
+	}, false)
 	if info2.PlanSource != PlanSourceCached || !reflect.DeepEqual(res, res2) {
 		t.Fatalf("forced repeat: %q, %d vs %d results", info2.PlanSource, len(res2), len(res))
 	}
@@ -228,7 +243,7 @@ func TestDropCachesPurgesPlanCache(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		load = append(load, shardTestTuple(t, uint64(i+1), i+1))
 	}
-	tab, err := db.BulkLoadTable("drop", "X", nil, load, WithCutoff(0.15), WithResultCache(8))
+	tab, err := db.BulkLoadTable("drop", "X", nil, load, WithCutoff(0.15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,12 +289,8 @@ func TestOptionScopeValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "database-level option") {
 		t.Fatalf("db option at spatial scope: %v", err)
 	}
-	if _, err := db.CreateTable("t", "X", nil, WithResultCache(-1)); err == nil {
-		t.Fatal("negative result-cache capacity accepted")
-	}
 
-	// The spatial options land, via both the functional options and the
-	// deprecated struct bridge.
+	// The spatial options land.
 	seg, err := NewDiscrete([]Alternative{{Value: "seg-1", Prob: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -289,11 +300,6 @@ func TestOptionScopeValidation(t *testing.T) {
 	}
 	if _, err := db.BulkLoadSpatial("fn", obs, WithNodePageSize(2048), WithHeapPageSize(32*1024)); err != nil {
 		t.Fatalf("spatial functional options: %v", err)
-	}
-	//lint:ignore SA1019 the bridge's one release of life is exactly what this exercises
-	if _, err := db.BulkLoadSpatial("bridge", obs,
-		WithSpatialOptions(SpatialOptions{NodePageSize: 2048})); err != nil {
-		t.Fatalf("deprecated bridge: %v", err)
 	}
 }
 
@@ -308,7 +314,7 @@ func TestSoakPreparedQueries(t *testing.T) {
 		load = append(load, shardTestTuple(t, uint64(i+1), i+1))
 	}
 	tab, err := db.BulkLoadTable("soakprep", "X", []string{"Y"}, load,
-		WithCutoff(0.15), WithShards(3), WithResultCache(16))
+		WithCutoff(0.15), WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,8 +179,9 @@ type resState int
 const (
 	// statePending: prepared (partitions pinned) but not yet executed.
 	statePending resState = iota
-	// stateStreaming: an All iterator is mid-drain; accessors that
-	// would force a second execution are inert until it finishes.
+	// stateStreaming: a drain is in progress (an All iterator
+	// mid-loop); accessors that would force a second execution are
+	// inert until it finishes.
 	stateStreaming
 	// stateDrained: fully consumed; results holds the complete set.
 	stateDrained
@@ -193,23 +194,22 @@ const (
 
 // Results is the answer to one Run call. The query's partition set is
 // pinned when Run returns, but no scan has happened yet: the first
-// consumption executes it, one of two ways.
+// consumption executes it. Every consumption drives the same merged
+// stream — a k-way merge of the per-partition confidence-sorted
+// cursors that yields the globally next-best result while slower
+// partitions are still scanning, and that stops a top-k query's scans
+// (and its modeled I/O charges) at the k-th result.
 //
-//   - All streams: a k-way merge of the per-partition
-//     confidence-sorted cursors yields the globally next-best result
-//     while slower partitions are still scanning, and a top-k query
-//     stops scanning — and stops charging modeled I/O — as soon as the
-//     k-th result is out.
-//   - Collect and Len force the full materialized drain: every
-//     partition scanned to completion in parallel, exactly the
-//     pre-streaming execution.
+//   - All hands the results out as the stream yields them, and may
+//     stop early.
+//   - Collect, Len, Err and Info drain the stream to its end first.
 //
-// Both produce the same results in the same order. After a complete
-// drain (either way) the handle is reusable: All replays the
-// materialized results and Collect returns them. After a *partial*
-// streaming drain the handle is spent — a second All yields
-// ErrStreamConsumed, and Collect/Len report an empty set — so a
-// half-consumed stream can never silently resume mid-query.
+// Both produce the same results in the same order, with the same
+// statistics and modeled cost. After a complete drain (either way) the
+// handle is reusable: All replays the kept results and Collect returns
+// them. After a *partial* streaming drain the handle is spent — a
+// second All yields ErrStreamConsumed, and Collect/Len report an empty
+// set — so a half-consumed stream can never silently resume mid-query.
 //
 // Execution errors (a context cancelled mid-stream, a corrupt page)
 // surface in All's error slot and through Err; Collect returns nil in
@@ -254,20 +254,51 @@ func newLazyResults(ctx context.Context, prep *shard.Prepared, q Query, plan, so
 	return r
 }
 
-// materialize executes a still-pending query the materialized way.
+// materialize drains a still-pending query to the end, keeping every
+// result: the consumption Collect, Len, Err and Info force.
 func (r *Results) materialize() {
-	if r.state != statePending {
-		return
+	if r.state == statePending {
+		r.drain(func(Result, error) bool { return true })
 	}
-	rs, st, err := r.prep.Collect(r.ctx)
-	r.fillInfo(st)
-	if err != nil {
-		r.state = stateFailed
-		r.err = err
-		return
+}
+
+// drain executes a pending query through the merged shard stream,
+// passing each result to yield and keeping it in r.results. Every
+// terminal transition — exhaustion (or the k-th top-k result), failure,
+// or yield returning false — goes through fillInfo; a failure is also
+// handed to yield. Stopping early cancels the remaining scans and
+// spends the handle.
+func (r *Results) drain(yield func(Result, error) bool) {
+	st := r.prep.Stream(r.ctx)
+	r.state = stateStreaming
+	for {
+		res, ok, err := st.Next()
+		if err != nil {
+			r.state = stateFailed
+			r.err = err
+			r.results = nil
+			r.fillInfo(st.Stats())
+			yield(Result{}, err)
+			return
+		}
+		if !ok {
+			r.state = stateDrained
+			r.fillInfo(st.Stats())
+			return
+		}
+		r.results = append(r.results, res)
+		if !yield(res, nil) {
+			st.Close()
+			r.state = statePartial
+			r.err = ErrStreamConsumed
+			r.results = nil
+			r.fillInfo(st.Stats())
+			if r.met != nil {
+				r.met.partialDrains.Inc()
+			}
+			return
+		}
 	}
-	r.results = rs
-	r.state = stateDrained
 }
 
 // fillInfo folds the execution statistics into the query info,
@@ -280,10 +311,10 @@ func (r *Results) fillInfo(st fracture.Stats) {
 	if r.wantStats {
 		r.info.ModeledTime = st.ModeledTime
 	}
-	// fillInfo is every execution path's terminal funnel, so the
-	// observed-vs-modeled pair is recorded here — for streaming and
-	// materialized drains alike, and regardless of WithStats (the
-	// engine always computes ModeledTime).
+	// fillInfo is every drain's terminal funnel, so the
+	// observed-vs-modeled pair is recorded here — for full and partial
+	// drains alike, and regardless of WithStats (the engine always
+	// computes ModeledTime).
 	if r.met != nil && !r.recorded {
 		r.recorded = true
 		r.met.queryWall.With(r.kindLabel).Observe(time.Since(r.started).Seconds())
@@ -318,36 +349,7 @@ func (r *Results) All() iter.Seq2[Result, error] {
 				}
 			}
 		case statePending:
-			st := r.prep.Stream(r.ctx)
-			r.state = stateStreaming
-			for {
-				res, ok, err := st.Next()
-				if err != nil {
-					r.state = stateFailed
-					r.err = err
-					r.results = nil
-					r.fillInfo(st.Stats())
-					yield(Result{}, err)
-					return
-				}
-				if !ok {
-					r.state = stateDrained
-					r.fillInfo(st.Stats())
-					return
-				}
-				r.results = append(r.results, res)
-				if !yield(res, nil) {
-					st.Close()
-					r.state = statePartial
-					r.err = ErrStreamConsumed
-					r.results = nil
-					r.fillInfo(st.Stats())
-					if r.met != nil {
-						r.met.partialDrains.Inc()
-					}
-					return
-				}
-			}
+			r.drain(yield)
 		case stateStreaming, statePartial:
 			// Either a re-entrant All while another iterator is still
 			// mid-drain, or a handle spent by a partial drain: never
@@ -360,11 +362,10 @@ func (r *Results) All() iter.Seq2[Result, error] {
 }
 
 // Collect returns all results as a slice, in the same order All yields
-// them. On an unconsumed handle it forces the full materialized drain
-// (every partition scanned to completion — for a top-k query, All is
-// the cheaper consumption). It returns nil when execution failed, the
-// handle was partially drained, or an All iterator is still mid-drain;
-// Err reports why.
+// them. On an unconsumed handle it drains the stream to its end — for
+// a top-k query, that end is the k-th result. It returns nil when
+// execution failed, the handle was partially drained, or an All
+// iterator is still mid-drain; Err reports why.
 func (r *Results) Collect() []Result {
 	r.materialize()
 	if r.state != stateDrained {
@@ -373,9 +374,8 @@ func (r *Results) Collect() []Result {
 	return slices.Clone(r.results)
 }
 
-// Len returns the number of results Collect would return, forcing the
-// full drain on an unconsumed handle (0 after a failure or a partial
-// drain).
+// Len returns the number of results Collect would return, draining an
+// unconsumed handle first (0 after a failure or a partial drain).
 func (r *Results) Len() int {
 	r.materialize()
 	if r.state != stateDrained {
@@ -387,8 +387,8 @@ func (r *Results) Len() int {
 // Err returns the terminal error of the handle's execution: nil after
 // a successful full drain, the failure cause (e.g. ErrCanceled) after
 // an error, ErrStreamConsumed after a partial drain. On an unconsumed
-// handle it forces the materialized drain first, so the legacy
-// Run-then-check pattern still observes execution errors.
+// handle it drains the query first, so the Run-then-check pattern
+// observes execution errors.
 func (r *Results) Err() error {
 	r.materialize()
 	return r.err
@@ -409,11 +409,10 @@ func (r *Results) Close() {
 // Info reports what the query touched and cost. ModeledTime is only
 // measured when the query was built WithStats; Plan and Explain are
 // only set for planner-routed / WithExplain runs. On an unconsumed
-// handle Info forces the full materialized drain so the counters are
-// complete (the routing fields Plan and PlanSource are available
-// either way); after a streaming consumption it reports what the
-// stream actually touched — for an early-terminated top-k, that is
-// less I/O than the materialized execution would have charged.
+// handle Info drains the query first so the counters are complete (the
+// routing fields Plan and PlanSource are available either way). The
+// counters report what the stream touched: a top-k query stops at the
+// k-th result, and a partial All drain stops where the loop broke off.
 func (r *Results) Info() QueryInfo {
 	r.materialize()
 	return r.info
@@ -424,14 +423,13 @@ func (r *Results) Info() QueryInfo {
 // ErrCanceled before any partition is pinned or any modeled I/O
 // charged. Run itself performs no scan — it validates, routes, applies
 // admission control and pins the partition snapshot; the returned
-// handle executes on first consumption. All streams results
-// incrementally (first results flow before the slowest partition
-// finishes; a top-k stops scanning at the k-th result), while
-// Collect/Len/Info force the materialized parallel drain with exactly
-// the pre-streaming semantics. A cancellation mid-execution stops the
-// scans between heap pages, stops charging modeled I/O and releases
-// every partition pin: the materialized path reports it as an error
-// from Collect (via Err), the streaming path through All's error slot.
+// handle executes on first consumption, through one merged stream: All
+// hands results out incrementally (first results flow before the
+// slowest partition finishes), Collect/Len/Info drain it first, and
+// either way a top-k stops scanning at the k-th result. A cancellation
+// mid-execution stops the scans between heap pages, stops charging
+// modeled I/O and releases every partition pin; All reports it in its
+// error slot, Collect through Err.
 //
 // A PTQ routes through the cost-based planner automatically whenever
 // the table's statistics catalog is fresh (staleness at or below the
@@ -529,8 +527,7 @@ func (t *Table) routeSource(attr string, q Query) string {
 // runHeuristic prepares the fixed pre-planner routing: top-k and
 // primary PTQs scan the clustered UPI, secondary PTQs use tailored
 // secondary access. The returned handle is unconsumed — the partition
-// set is pinned, but no scan happens until All streams it or
-// Collect/Len materialize it.
+// set is pinned, but no scan happens until it is consumed.
 func (t *Table) runHeuristic(ctx context.Context, q Query, attr, primary string, started time.Time) (*Results, error) {
 	req := fracture.Req{Value: q.value, Parallelism: q.parallelism, Trace: fracture.TraceFunc(q.trace)}
 	switch {

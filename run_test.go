@@ -15,57 +15,80 @@ import (
 	"time"
 )
 
+// tableWriter is the write surface a test workload drives: a facade
+// table, a plain fracture.Store, or the refTable oracle.
+type tableWriter interface {
+	Insert(*Tuple) error
+	Delete(uint64) error
+	Flush() error
+}
+
+// fracturedTuple is one tuple of fracturedTable: value v (mod 7) with
+// probability p, value v+1 with most of the rest, and the secondary
+// attribute "y" + the first value.
+func fracturedTuple(t testing.TB, id uint64, v int, p float64) *Tuple {
+	v1, v2 := fmt.Sprintf("v%02d", v%7), fmt.Sprintf("v%02d", (v+1)%7)
+	x, err := NewDiscrete([]Alternative{{Value: v1, Prob: p}, {Value: v2, Prob: (1 - p) * 0.9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := NewDiscrete([]Alternative{{Value: "y" + v1, Prob: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Tuple{ID: id, Existence: 0.9, Unc: []UncField{{Name: "X", Dist: x}, {Name: "Y", Dist: y}}}
+}
+
+// fracturedBase is fracturedTable's bulk-loaded main.
+func fracturedBase(t testing.TB) []*Tuple {
+	var load []*Tuple
+	for i := 0; i < 120; i++ {
+		load = append(load, fracturedTuple(t, uint64(i+1), i, 0.3+float64(i%60)/100))
+	}
+	return load
+}
+
+// fracturedWrites is fracturedTable's write history: four flushed
+// fractures with deletes, then tuples and a delete left pending in the
+// RAM buffer.
+func fracturedWrites(t testing.TB, w tableWriter) {
+	next := uint64(1000)
+	for f := 0; f < 4; f++ {
+		for i := 0; i < 25; i++ {
+			if err := w.Insert(fracturedTuple(t, next, int(next), 0.4+float64(int(next)%50)/100)); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		if err := w.Delete(uint64(f*10 + 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if err := w.Insert(fracturedTuple(t, next, int(next), 0.5)); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	if err := w.Delete(55); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // fracturedTable builds a table with a bulk-loaded main, several
 // fractures, pending deletes and a RAM buffer, so queries cross every
 // partition type.
 func fracturedTable(t *testing.T, db *DB, par int) *Table {
 	t.Helper()
-	mk := func(id uint64, v1, v2 string, p float64) *Tuple {
-		x, err := NewDiscrete([]Alternative{{Value: v1, Prob: p}, {Value: v2, Prob: (1 - p) * 0.9}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		y, err := NewDiscrete([]Alternative{{Value: "y" + v1, Prob: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &Tuple{ID: id, Existence: 0.9, Unc: []UncField{{Name: "X", Dist: x}, {Name: "Y", Dist: y}}}
-	}
-	val := func(i int) string { return fmt.Sprintf("v%02d", i%7) }
-	var load []*Tuple
-	for i := 0; i < 120; i++ {
-		load = append(load, mk(uint64(i+1), val(i), val(i+1), 0.3+float64(i%60)/100))
-	}
 	tab, err := db.BulkLoadTable(fmt.Sprintf("runtest%d", par), "X", []string{"Y"},
-		load, WithCutoff(0.15), WithParallelism(par))
+		fracturedBase(t), WithCutoff(0.15), WithParallelism(par))
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := uint64(1000)
-	for f := 0; f < 4; f++ {
-		for i := 0; i < 25; i++ {
-			if err := tab.Insert(mk(next, val(int(next)), val(int(next)+1), 0.4+float64(int(next)%50)/100)); err != nil {
-				t.Fatal(err)
-			}
-			next++
-		}
-		if err := tab.Delete(uint64(f*10 + 1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := tab.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Leave some tuples and a delete pending in the RAM buffer.
-	for i := 0; i < 10; i++ {
-		if err := tab.Insert(mk(next, val(int(next)), val(int(next)+1), 0.5)); err != nil {
-			t.Fatal(err)
-		}
-		next++
-	}
-	if err := tab.Delete(55); err != nil {
-		t.Fatal(err)
-	}
+	fracturedWrites(t, tab)
 	return tab
 }
 

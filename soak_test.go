@@ -21,6 +21,24 @@ type refTable struct {
 	live map[uint64]*Tuple
 }
 
+func (r *refTable) Insert(tup *Tuple) error { r.live[tup.ID] = tup; return nil }
+func (r *refTable) Delete(id uint64) error  { delete(r.live, id); return nil }
+func (r *refTable) Flush() error            { return nil }
+
+// answer is the oracle's reply to a PTQ or top-k descriptor on a table
+// whose primary attribute is "X".
+func (r *refTable) answer(q Query) []uint64 {
+	attr := q.attr
+	if attr == "" {
+		attr = "X"
+	}
+	if q.kind == KindTopK {
+		all := r.query(attr, q.value, 0)
+		return all[:min(q.k, len(all))]
+	}
+	return r.query(attr, q.value, q.qt)
+}
+
 func (r *refTable) query(attr, value string, qt float64) []uint64 {
 	type hit struct {
 		id   uint64

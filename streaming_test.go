@@ -1,68 +1,132 @@
 package upidb
 
-// Tests for true incremental streaming through the facade: golden
-// equivalence of the streamed and materialized consumptions at every
-// parallelism, top-k early termination savings, partial-drain
-// semantics, and mid-stream cancellation.
+// Tests for true incremental streaming through the facade: rows of
+// both consumptions against a brute-force oracle at every parallelism,
+// statistics and modeled cost against a serial per-partition
+// reference, top-k early termination savings, partial-drain semantics,
+// and mid-stream cancellation.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
+
+	"upidb/internal/fracture"
+	"upidb/internal/sim"
+	"upidb/internal/storage"
+	"upidb/internal/upi"
 )
 
-// hotTable builds a table engineered for top-k early termination: the
-// main partition holds 60 high-confidence "hot" tuples, and each of 6
-// fractures holds 4 mid-confidence "hot" tuples plus 20 tuples whose
-// "hot" alternative sits below the cutoff (so it lives in the
-// fracture's cutoff index). A materialized top-k must chase every
+// hotTuple is a tuple whose X is "hot" with probability conf, or — when
+// cold is set — "cold" at 0.8 with "hot" at 0.1, below the cutoff.
+func hotTuple(t testing.TB, id uint64, conf float64, cold bool) *Tuple {
+	alts := []Alternative{{Value: "hot", Prob: conf}}
+	if cold {
+		alts = []Alternative{{Value: "cold", Prob: 0.8}, {Value: "hot", Prob: 0.1}}
+	}
+	x, err := NewDiscrete(alts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Tuple{ID: id, Existence: 1, Unc: []UncField{{Name: "X", Dist: x}}}
+}
+
+// hotBase is hotTable's main partition: 60 high-confidence "hot"
+// tuples.
+func hotBase(t testing.TB) []*Tuple {
+	var base []*Tuple
+	for i := 0; i < 60; i++ {
+		base = append(base, hotTuple(t, uint64(i+1), 0.5+float64(i)*0.008, false))
+	}
+	return base
+}
+
+// hotWrites flushes 6 fractures, each of 4 mid-confidence "hot" tuples
+// plus 20 tuples whose "hot" alternative sits below the cutoff (so it
+// lives in the fracture's cutoff index).
+func hotWrites(t testing.TB, w tableWriter) {
+	id := uint64(61)
+	for f := 0; f < 6; f++ {
+		for j := 0; j < 24; j++ {
+			if err := w.Insert(hotTuple(t, id, 0.2+float64(f*4+j)*0.01, j >= 4)); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// hotTable builds a table engineered for top-k early termination from
+// hotBase and hotWrites. A per-partition top-k must chase every
 // fracture's cutoff pointers; the merged stream fills k from the main
 // partition and never pulls any fracture past its first head.
 func hotTable(t *testing.T, db *DB) *Table {
 	t.Helper()
-	hot := func(id uint64, conf float64) *Tuple {
-		x, err := NewDiscrete([]Alternative{{Value: "hot", Prob: conf}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &Tuple{ID: id, Existence: 1, Unc: []UncField{{Name: "X", Dist: x}}}
-	}
-	coldHot := func(id uint64) *Tuple {
-		x, err := NewDiscrete([]Alternative{{Value: "cold", Prob: 0.8}, {Value: "hot", Prob: 0.1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &Tuple{ID: id, Existence: 1, Unc: []UncField{{Name: "X", Dist: x}}}
-	}
-	id := uint64(1)
-	var base []*Tuple
-	for i := 0; i < 60; i++ {
-		base = append(base, hot(id, 0.5+float64(i)*0.008))
-		id++
-	}
-	tab, err := db.BulkLoadTable("hottab", "X", nil, base, WithCutoff(0.15), WithParallelism(1))
+	tab, err := db.BulkLoadTable("hottab", "X", nil, hotBase(t), WithCutoff(0.15), WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for f := 0; f < 6; f++ {
-		for j := 0; j < 4; j++ {
-			if err := tab.Insert(hot(id, 0.2+float64(f*4+j)*0.01)); err != nil {
-				t.Fatal(err)
-			}
-			id++
-		}
-		for j := 0; j < 20; j++ {
-			if err := tab.Insert(coldHot(id)); err != nil {
-				t.Fatal(err)
-			}
-			id++
-		}
-		if err := tab.Flush(); err != nil {
+	hotWrites(t, tab)
+	return tab
+}
+
+// reference replays a table's base and write history on the refTable
+// oracle and on a plain one-shard fracture.Store with the tables'
+// cutoff, on its own simulated disk — the independent references the
+// streaming tests check rows and modeled cost against.
+func reference(t *testing.T, secAttrs []string, base []*Tuple, writes func(testing.TB, tableWriter)) (*refTable, *fracture.Store, *sim.Disk) {
+	t.Helper()
+	ref := &refTable{live: make(map[uint64]*Tuple)}
+	for _, tup := range base {
+		ref.live[tup.ID] = tup
+	}
+	writes(t, ref)
+	disk := sim.NewDisk(sim.DefaultParams())
+	s, err := fracture.BulkLoad(storage.NewFS(disk), "ref", "X", secAttrs, fracture.Config{UPI: upi.Options{Cutoff: 0.15}}, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes(t, s)
+	return ref, s, disk
+}
+
+// partitionCost is the serial per-partition reference for modeled
+// cost: on a cold cache, each partition's own upi.Table query runs to
+// completion, one partition after another, after its table-open
+// charge — the scan-then-merge execution, partition by partition. It
+// also sums the partitions' scan statistics.
+func partitionCost(t *testing.T, s *fracture.Store, disk *sim.Disk, query func(*upi.Table) (upi.QueryStats, error)) (time.Duration, upi.QueryStats) {
+	t.Helper()
+	if err := s.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	before := disk.Stats()
+	var sum upi.QueryStats
+	for _, part := range s.Partitions() {
+		disk.Open(part.Name())
+		qs, err := query(part)
+		if err != nil {
 			t.Fatal(err)
 		}
+		sum.HeapEntries += qs.HeapEntries
+		sum.CutoffPointers += qs.CutoffPointers
 	}
-	return tab
+	return disk.Stats().Sub(before).Elapsed, sum
+}
+
+// ids lists the tuple IDs of rs in order.
+func ids(rs []Result) []uint64 {
+	out := make([]uint64, len(rs))
+	for i, r := range rs {
+		out[i] = r.Tuple.ID
+	}
+	return out
 }
 
 // streamAll drains a fresh handle through All only, returning the
@@ -80,9 +144,10 @@ func streamAll(t *testing.T, res *Results) []Result {
 }
 
 // TestRunStreamsGoldenVsCollect: consuming a Run through All alone
-// (true streaming) yields exactly what an identical Run's Collect
-// materializes — same rows, same order — at serial, narrow and wide
-// parallelism, across every query class including planner-routed ones.
+// (true streaming) yields exactly the refTable oracle's rows in the
+// oracle's order, and Collect on an identical Run returns the same —
+// at serial, narrow and wide parallelism, across every query class
+// including planner-routed ones.
 func TestRunStreamsGoldenVsCollect(t *testing.T) {
 	queries := []Query{
 		PTQ("", "v01", 0.05),
@@ -92,104 +157,122 @@ func TestRunStreamsGoldenVsCollect(t *testing.T) {
 		PTQ("", "v02", 0.1).WithHeuristic(),
 		TopKQuery("v04", 7),
 	}
+	ref, _, _ := reference(t, []string{"Y"}, fracturedBase(t), fracturedWrites)
 	ctx := context.Background()
 	for _, par := range []int{1, 2, 0} {
 		db := mustCreate(t)
 		tab := fracturedTable(t, db, par)
 		for qi, q := range queries {
-			matRes, err := tab.Run(ctx, q)
-			if err != nil {
-				t.Fatalf("par=%d q=%d materialized run: %v", par, qi, err)
+			want := ref.answer(q)
+			if len(want) == 0 {
+				t.Fatalf("q=%d: oracle is empty; parity vacuous", qi)
 			}
-			want := matRes.Collect()
 			strRes, err := tab.Run(ctx, q)
 			if err != nil {
 				t.Fatalf("par=%d q=%d streaming run: %v", par, qi, err)
 			}
-			got := streamAll(t, strRes)
-			if len(got) != len(want) {
-				t.Fatalf("par=%d q=%d: streamed %d rows vs collected %d", par, qi, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Tuple.ID != want[i].Tuple.ID || got[i].Confidence != want[i].Confidence {
-					t.Fatalf("par=%d q=%d row %d: streamed %d/%v vs collected %d/%v",
-						par, qi, i, got[i].Tuple.ID, got[i].Confidence, want[i].Tuple.ID, want[i].Confidence)
-				}
+			got := ids(streamAll(t, strRes))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("par=%d q=%d: streamed %v, oracle %v", par, qi, got, want)
 			}
 			// After a full streamed drain the handle is reusable:
 			// Collect returns the same rows.
-			if again := strRes.Collect(); len(again) != len(got) {
-				t.Fatalf("par=%d q=%d: Collect after full stream drain: %d rows", par, qi, len(again))
+			if again := ids(strRes.Collect()); !reflect.DeepEqual(again, want) {
+				t.Fatalf("par=%d q=%d: Collect after full stream drain: %v", par, qi, again)
+			}
+			colRes, err := tab.Run(ctx, q)
+			if err != nil {
+				t.Fatalf("par=%d q=%d collect run: %v", par, qi, err)
+			}
+			if got := ids(colRes.Collect()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("par=%d q=%d: collected %v, oracle %v", par, qi, got, want)
 			}
 		}
 	}
 }
 
 // TestRunStreamStatsMatchMaterialized: a fully drained streamed PTQ
-// reports the same execution statistics — entries scanned, partitions,
-// buffer hits and exact modeled time — as the materialized execution.
+// reports the statistics of the serial per-partition reference —
+// heap entries, cutoff pointers, partitions and exact modeled time —
+// and the oracle's buffer hits; Collect on an identical Run reports
+// the same Info.
 func TestRunStreamStatsMatchMaterialized(t *testing.T) {
 	db := mustCreate(t)
 	tab := fracturedTable(t, db, 0)
 	ctx := context.Background()
-	q := PTQ("", "v01", 0.05).WithStats()
+	// Heuristic routing pins the primary index scan the reference runs
+	// (fresh statistics would pick a full scan here).
+	q := PTQ("", "v01", 0.05).WithHeuristic().WithStats()
+	_, s, disk := reference(t, []string{"Y"}, fracturedBase(t), fracturedWrites)
+	wantCost, wantStats := partitionCost(t, s, disk, func(part *upi.Table) (upi.QueryStats, error) {
+		_, qs, err := part.Query(ctx, q.value, q.qt)
+		return qs, err
+	})
+	// Buffer hits: the pending tuples (IDs 1100..1109) that match.
+	ref := &refTable{live: make(map[uint64]*Tuple)}
+	fracturedWrites(t, ref)
+	wantBuf := 0
+	for _, id := range ref.query("X", q.value, q.qt) {
+		if id >= 1100 {
+			wantBuf++
+		}
+	}
 
-	if err := tab.DropCaches(); err != nil {
-		t.Fatal(err)
+	var infos []QueryInfo
+	for _, consume := range []func(*Results){
+		func(res *Results) { streamAll(t, res) },
+		func(res *Results) { res.Collect() },
+	} {
+		if err := tab.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := tab.Run(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		consume(res)
+		infos = append(infos, res.Info())
 	}
-	matRes, err := tab.Run(ctx, q)
-	if err != nil {
-		t.Fatal(err)
+	got := infos[0]
+	if got.HeapEntries != wantStats.HeapEntries || got.CutoffPointers != wantStats.CutoffPointers ||
+		got.Partitions != len(s.Partitions()) || got.BufferHits != wantBuf {
+		t.Fatalf("streamed info %+v; reference %+v over %d partitions, %d buffer hits",
+			got, wantStats, len(s.Partitions()), wantBuf)
 	}
-	want := matRes.Info() // forces the materialized drain
-
-	if err := tab.DropCaches(); err != nil {
-		t.Fatal(err)
+	if wantCost <= 0 || got.ModeledTime != wantCost {
+		t.Fatalf("streamed modeled time %v != per-partition reference %v", got.ModeledTime, wantCost)
 	}
-	strRes, err := tab.Run(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamAll(t, strRes)
-	got := strRes.Info()
-	if got.HeapEntries != want.HeapEntries || got.CutoffPointers != want.CutoffPointers ||
-		got.Partitions != want.Partitions || got.BufferHits != want.BufferHits {
-		t.Fatalf("streamed info %+v diverged from materialized %+v", got, want)
-	}
-	if want.ModeledTime <= 0 || got.ModeledTime != want.ModeledTime {
-		t.Fatalf("streamed modeled time %v != materialized %v", got.ModeledTime, want.ModeledTime)
+	if infos[1] != got {
+		t.Fatalf("Collect info %+v diverged from the streamed %+v", infos[1], got)
 	}
 }
 
 // TestRunTopKStreamEarlyTermination: over 7 partitions, the streamed
 // top-k yields its first result — and completes — for strictly less
-// modeled I/O than the materialized execution, with identical results.
+// modeled I/O than the per-partition reference, where every partition
+// runs its own top-k to completion, with the oracle's results. Collect
+// stops at the k-th result too, at the streamed cost.
 func TestRunTopKStreamEarlyTermination(t *testing.T) {
 	db := mustCreate(t)
 	tab := hotTable(t, db)
 	ctx := context.Background()
 	q := TopKQuery("hot", 20)
+	ref, s, disk := reference(t, nil, hotBase(t), hotWrites)
+	want := ref.answer(q)
+	fullCost, _ := partitionCost(t, s, disk, func(part *upi.Table) (upi.QueryStats, error) {
+		_, qs, err := part.TopK(ctx, q.value, q.k)
+		return qs, err
+	})
+	if len(want) != 20 || fullCost <= 0 {
+		t.Fatalf("reference top-k: %d rows, cost %v", len(want), fullCost)
+	}
 
+	// First result costs less than the whole reference run: only one
+	// head per partition is needed, not any completed scan.
 	if err := tab.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
 	before := db.DiskStats()
-	matRes, err := tab.Run(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := matRes.Collect()
-	fullCost := db.DiskStats().Sub(before).Elapsed
-	if len(want) != 20 || fullCost <= 0 {
-		t.Fatalf("materialized top-k: %d rows, cost %v", len(want), fullCost)
-	}
-
-	// First result costs less than the whole materialized run: only
-	// one head per partition is needed, not any completed scan.
-	if err := tab.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	before = db.DiskStats()
 	strRes, err := tab.Run(ctx, q)
 	if err != nil {
 		t.Fatal(err)
@@ -203,35 +286,36 @@ func TestRunTopKStreamEarlyTermination(t *testing.T) {
 		break // partial drain: cancels the remaining scans
 	}
 	firstCost := db.DiskStats().Sub(before).Elapsed
-	if first == nil || first.Tuple.ID != want[0].Tuple.ID {
-		t.Fatalf("first streamed result %+v, want ID %d", first, want[0].Tuple.ID)
+	if first == nil || first.Tuple.ID != want[0] {
+		t.Fatalf("first streamed result %+v, want ID %d", first, want[0])
 	}
 	if firstCost >= fullCost {
-		t.Fatalf("first-result modeled cost %v not below materialized %v", firstCost, fullCost)
+		t.Fatalf("first-result modeled cost %v not below per-partition reference %v", firstCost, fullCost)
 	}
 
-	// A full streamed drain returns the identical top-k for strictly
-	// less modeled I/O: the fractures' cutoff chases never happen.
-	if err := tab.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	before = db.DiskStats()
-	strRes, err = tab.Run(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := streamAll(t, strRes)
-	streamCost := db.DiskStats().Sub(before).Elapsed
-	if len(got) != len(want) {
-		t.Fatalf("streamed top-k %d rows, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Tuple.ID != want[i].Tuple.ID {
-			t.Fatalf("row %d: streamed ID %d, want %d", i, got[i].Tuple.ID, want[i].Tuple.ID)
+	// A full streamed drain, and Collect, return the oracle's top-k for
+	// strictly less modeled I/O: the fractures' cutoff chases never
+	// happen.
+	var costs []time.Duration
+	for _, consume := range []func(*Results) []Result{
+		func(res *Results) []Result { return streamAll(t, res) },
+		func(res *Results) []Result { return res.Collect() },
+	} {
+		if err := tab.DropCaches(); err != nil {
+			t.Fatal(err)
 		}
+		before = db.DiskStats()
+		res, err := tab.Run(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ids(consume(res)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("top-k %v, oracle %v", got, want)
+		}
+		costs = append(costs, db.DiskStats().Sub(before).Elapsed)
 	}
-	if streamCost >= fullCost {
-		t.Fatalf("streamed top-k cost %v not below materialized %v", streamCost, fullCost)
+	if costs[0] >= fullCost || costs[1] != costs[0] {
+		t.Fatalf("streamed top-k cost %v, Collect %v, per-partition reference %v", costs[0], costs[1], fullCost)
 	}
 }
 

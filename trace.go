@@ -33,7 +33,7 @@ const (
 	// completion, exhausted, or cancelled.
 	TraceScanEnd = fracture.TraceScanEnd
 	// TraceYield marks the merged stream yielding one result (Shard is
-	// the producing shard). Streaming consumption only; a materialized
-	// Collect has no per-result milestone.
+	// the producing shard; Detail is empty). Every consumption drains
+	// the stream, so All and Collect both emit one per result.
 	TraceYield = fracture.TraceYield
 )
