@@ -430,3 +430,22 @@ func TestBulkLoadStore(t *testing.T) {
 		t.Fatalf("bulk load lost tuples: %d", total)
 	}
 }
+
+// TestCollectLiveTuplesCorruptEntry: the rebuild path of Merge must
+// fail on a heap entry whose tuple does not decode, not return the
+// tuples read before it as if they were the whole live set.
+func TestCollectLiveTuplesCorruptEntry(t *testing.T) {
+	tab, err := upi.Create(newFS(), "t", "X", nil, upi.Options{Cutoff: 0.1, PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Insert(mkTuple(t, 1, 1.0, prob.Alternative{Value: "A", Prob: 0.9})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Heap().Put(upi.HeapKey("B", 0.5, 2), []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := collectLiveTuples([]*upi.Table{tab}, []map[uint64]bool{nil}); err == nil {
+		t.Fatal("corrupt heap entry was skipped silently")
+	}
+}

@@ -376,6 +376,7 @@ func collectLiveTuples(parts []*upi.Table, deletes []map[uint64]bool) ([]*tuple.
 	byID := make(map[uint64]*tuple.Tuple)
 	for i, t := range parts {
 		deleted := deletes[i]
+		var decodeErr error
 		err := t.ScanHeap(func(value string, conf float64, id uint64, enc []byte) bool {
 			if deleted[id] {
 				return true
@@ -385,11 +386,15 @@ func collectLiveTuples(parts []*upi.Table, deletes []map[uint64]bool) ([]*tuple.
 			}
 			tup, err := tuple.Decode(enc)
 			if err != nil {
+				decodeErr = err
 				return false
 			}
 			byID[id] = tup
 			return true
 		})
+		if err == nil {
+			err = decodeErr
+		}
 		if err != nil {
 			return nil, err
 		}

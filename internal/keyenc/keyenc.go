@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // String escape scheme: 0x00 inside the string is escaped as
@@ -40,29 +41,61 @@ func AppendString(dst []byte, s string) []byte {
 }
 
 // DecodeString decodes a string encoded by AppendString from the front
-// of b, returning the string and the remaining bytes.
+// of b, returning the string and the remaining bytes. The string is
+// built with a single allocation once its terminator has been found.
 func DecodeString(b []byte) (string, []byte, error) {
-	var out []byte
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if c != strEscape {
-			out = append(out, c)
-			continue
+	end, escapes, err := stringEnd(b)
+	if err != nil {
+		return "", nil, err
+	}
+	rest := b[end+2:]
+	if escapes == 0 {
+		return string(b[:end]), rest, nil
+	}
+	var sb strings.Builder
+	sb.Grow(end - escapes)
+	for i := 0; i < end; i++ {
+		sb.WriteByte(b[i])
+		if b[i] == strEscape {
+			i++ // skip the escape tag
 		}
+	}
+	return sb.String(), rest, nil
+}
+
+// SkipString validates the string encoded by AppendString at the front
+// of b exactly as DecodeString does, and returns the bytes after it
+// without building the string.
+func SkipString(b []byte) ([]byte, error) {
+	end, _, err := stringEnd(b)
+	if err != nil {
+		return nil, err
+	}
+	return b[end+2:], nil
+}
+
+// stringEnd scans the escaped string at the front of b and returns the
+// offset of its terminator and the number of escaped 0x00 bytes before
+// it.
+func stringEnd(b []byte) (end, escapes int, err error) {
+	for i := 0; ; i += 2 {
+		j := bytes.IndexByte(b[i:], strEscape)
+		if j < 0 {
+			return 0, 0, fmt.Errorf("keyenc: unterminated string")
+		}
+		i += j
 		if i+1 >= len(b) {
-			return "", nil, fmt.Errorf("keyenc: truncated string escape")
+			return 0, 0, fmt.Errorf("keyenc: truncated string escape")
 		}
 		switch b[i+1] {
 		case strTerm:
-			return string(out), b[i+2:], nil
+			return i, escapes, nil
 		case strEscTag:
-			out = append(out, strEscape)
-			i++
+			escapes++
 		default:
-			return "", nil, fmt.Errorf("keyenc: bad string escape 0x%02x", b[i+1])
+			return 0, 0, fmt.Errorf("keyenc: bad string escape 0x%02x", b[i+1])
 		}
 	}
-	return "", nil, fmt.Errorf("keyenc: unterminated string")
 }
 
 // AppendUint64 appends the ascending encoding of v (8 bytes, big endian).

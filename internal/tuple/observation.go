@@ -62,7 +62,7 @@ func DecodeObservation(b []byte) (*Observation, error) {
 	o.Speed = math.Float64frombits(d.u64())
 	o.Direction = math.Float64frombits(d.u64())
 	nSeg := int(d.u16())
-	if d.err == nil && nSeg > 0 {
+	if !d.failed() && nSeg > 0 {
 		o.Segment = make(prob.Discrete, nSeg)
 		for i := 0; i < nSeg; i++ {
 			o.Segment[i].Value = d.str16()
@@ -70,14 +70,14 @@ func DecodeObservation(b []byte) (*Observation, error) {
 		}
 	}
 	plen := int(d.u32())
-	if d.err == nil && plen > 0 {
+	if !d.failed() && plen > 0 {
 		p := d.bytes(plen)
-		if d.err == nil {
+		if !d.failed() {
 			o.Payload = append([]byte(nil), p...)
 		}
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("tuple: decode observation: %w", d.err)
+	if d.failed() {
+		return nil, fmt.Errorf("tuple: decode observation: %w", d.err())
 	}
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("tuple: decode observation: %d trailing bytes", len(d.buf))

@@ -129,7 +129,7 @@ func Decode(b []byte) (*Tuple, error) {
 	t.ID = d.u64()
 	t.Existence = math.Float64frombits(d.u64())
 	nDet := int(d.u16())
-	if d.err == nil && nDet > 0 {
+	if !d.failed() && nDet > 0 {
 		t.Det = make([]DetField, nDet)
 		for i := 0; i < nDet; i++ {
 			t.Det[i].Name = d.str16()
@@ -137,12 +137,12 @@ func Decode(b []byte) (*Tuple, error) {
 		}
 	}
 	nUnc := int(d.u16())
-	if d.err == nil && nUnc > 0 {
+	if !d.failed() && nUnc > 0 {
 		t.Unc = make([]UncField, nUnc)
 		for i := 0; i < nUnc; i++ {
 			t.Unc[i].Name = d.str16()
 			nAlts := int(d.u16())
-			if d.err != nil {
+			if d.failed() {
 				break
 			}
 			dist := make(prob.Discrete, nAlts)
@@ -154,19 +154,62 @@ func Decode(b []byte) (*Tuple, error) {
 		}
 	}
 	plen := int(d.u32())
-	if d.err == nil && plen > 0 {
+	if !d.failed() && plen > 0 {
 		p := d.bytes(plen)
-		if d.err == nil {
+		if !d.failed() {
 			t.Payload = append([]byte(nil), p...)
 		}
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("tuple: decode: %w", d.err)
+	if d.failed() {
+		return nil, fmt.Errorf("tuple: decode: %w", d.err())
 	}
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("tuple: decode: %d trailing bytes", len(d.buf))
 	}
 	return t, nil
+}
+
+// ConfidenceOf returns the confidence that the tuple encoded in enc has
+// value for its uncertain attribute attr: exactly what Decode followed
+// by Confidence returns (the first attribute named attr, then its first
+// alternative equal to value), but computed by walking the encoding in
+// place, with no allocation. It makes every check Decode makes, so a
+// corrupt encoding fails with Decode's error whether or not it matches.
+func ConfidenceOf(enc []byte, attr, value string) (float64, error) {
+	d := decoder{buf: enc}
+	d.u64() // ID
+	existence := math.Float64frombits(d.u64())
+	for n := int(d.u16()); n > 0 && !d.failed(); n-- {
+		d.take(int(d.u16())) // name
+		d.take(int(d.u16())) // value
+	}
+	found, p := false, 0.0
+	for n := int(d.u16()); n > 0 && !d.failed(); n-- {
+		name := d.take(int(d.u16()))
+		match := !found && string(name) == attr
+		found = found || match
+		for nAlts := int(d.u16()); nAlts > 0 && !d.failed(); nAlts-- {
+			v := d.take(int(d.u16()))
+			bits := d.u64()
+			if match && string(v) == value {
+				p = math.Float64frombits(bits)
+				match = false
+			}
+		}
+	}
+	if plen := int(d.u32()); !d.failed() && plen > 0 {
+		d.take(plen)
+	}
+	if d.failed() {
+		return 0, fmt.Errorf("tuple: decode: %w", d.err())
+	}
+	if len(d.buf) != 0 {
+		return 0, fmt.Errorf("tuple: decode: %d trailing bytes", len(d.buf))
+	}
+	if !found {
+		return 0, nil
+	}
+	return existence * p, nil
 }
 
 func appendStr16(dst []byte, s string) []byte {
@@ -176,15 +219,28 @@ func appendStr16(dst []byte, s string) []byte {
 
 type decoder struct {
 	buf []byte
-	err error
+	// need and have record the first read that ran past the end of
+	// buf; need is 0 while every read has fit.
+	need, have int
 }
 
+// failed reports whether a read has run past the end of the buffer.
+func (d *decoder) failed() bool { return d.need != 0 }
+
+// err describes the first short read; call it once failed is true.
+func (d *decoder) err() error {
+	return fmt.Errorf("short buffer: need %d, have %d", d.need, d.have)
+}
+
+// take consumes the next n bytes. A short read is recorded, not
+// formatted, so that take stays small enough to inline; it also empties
+// the buffer, so every later read fails too.
 func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.buf) < n {
-		d.err = fmt.Errorf("short buffer: need %d, have %d", n, len(d.buf))
+	if n > len(d.buf) {
+		if !d.failed() {
+			d.need, d.have = n, len(d.buf)
+		}
+		d.buf = nil
 		return nil
 	}
 	out := d.buf[:n]

@@ -128,7 +128,7 @@ func (t *Table) QueryCursor(ctx context.Context, value string, qt float64) *Curs
 					return false
 				}
 			}
-			_, conf, _, err := DecodeHeapKey(k)
+			conf, _, err := heapKeyConfID(k)
 			if err != nil {
 				scanErr = err
 				return false
@@ -206,7 +206,7 @@ func (t *Table) TopKCursor(ctx context.Context, value string, k int) *Cursor {
 					return false
 				}
 			}
-			_, conf, _, err := DecodeHeapKey(kk)
+			conf, _, err := heapKeyConfID(kk)
 			if err != nil {
 				scanErr = err
 				return false

@@ -27,18 +27,39 @@ func DecodeHeapKey(k []byte) (value string, conf float64, id uint64, err error) 
 	if err != nil {
 		return "", 0, 0, fmt.Errorf("upi: heap key: %w", err)
 	}
-	conf, rest, err = keyenc.DecodeFloat64Desc(rest)
+	conf, id, err = decodeConfID(rest)
 	if err != nil {
-		return "", 0, 0, fmt.Errorf("upi: heap key: %w", err)
-	}
-	id, rest, err = keyenc.DecodeUint64(rest)
-	if err != nil {
-		return "", 0, 0, fmt.Errorf("upi: heap key: %w", err)
-	}
-	if len(rest) != 0 {
-		return "", 0, 0, fmt.Errorf("upi: heap key has %d trailing bytes", len(rest))
+		return "", 0, 0, err
 	}
 	return value, conf, id, nil
+}
+
+// heapKeyConfID parses a composite key with DecodeHeapKey's checks but
+// skips the attribute value instead of building it, for the scans that
+// need only the confidence and tuple ID.
+func heapKeyConfID(k []byte) (conf float64, id uint64, err error) {
+	rest, err := keyenc.SkipString(k)
+	if err != nil {
+		return 0, 0, fmt.Errorf("upi: heap key: %w", err)
+	}
+	return decodeConfID(rest)
+}
+
+// decodeConfID parses the {confidence, tuple ID} tail of a composite
+// key.
+func decodeConfID(b []byte) (conf float64, id uint64, err error) {
+	conf, b, err = keyenc.DecodeFloat64Desc(b)
+	if err != nil {
+		return 0, 0, fmt.Errorf("upi: heap key: %w", err)
+	}
+	id, b, err = keyenc.DecodeUint64(b)
+	if err != nil {
+		return 0, 0, fmt.Errorf("upi: heap key: %w", err)
+	}
+	if len(b) != 0 {
+		return 0, 0, fmt.Errorf("upi: heap key has %d trailing bytes", len(b))
+	}
+	return conf, id, nil
 }
 
 // ValuePrefix returns the key prefix covering every entry for one

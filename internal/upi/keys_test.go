@@ -2,6 +2,7 @@ package upi
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -127,4 +128,25 @@ func TestPointerHeapKey(t *testing.T) {
 	if !bytes.Equal(p.HeapKey(7), HeapKey("MIT", 0.95, 7)) {
 		t.Fatal("Pointer.HeapKey mismatch")
 	}
+}
+
+// TestHeapKeyConfIDMatchesDecode: the value-free decoder returns
+// DecodeHeapKey's confidence and ID, and fails exactly where it fails.
+func TestHeapKeyConfIDMatchesDecode(t *testing.T) {
+	check := func(k []byte) {
+		t.Helper()
+		_, wantConf, wantID, wantErr := DecodeHeapKey(k)
+		conf, id, err := heapKeyConfID(k)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || math.Float64bits(conf) != math.Float64bits(wantConf) || id != wantID {
+			t.Fatalf("heapKeyConfID(%x) = %v, %d, %v; DecodeHeapKey %v, %d, %v", k, conf, id, err, wantConf, wantID, wantErr)
+		}
+	}
+	for _, value := range []string{"", "MIT", "a\x00b", "\x00\xff"} {
+		k := HeapKey(value, 0.72, 9)
+		for n := 0; n <= len(k); n++ {
+			check(k[:n])
+		}
+		check(append(k, 0))
+	}
+	check([]byte{'M', 0x00, 0x7F})
 }

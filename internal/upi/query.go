@@ -65,7 +65,7 @@ func (t *Table) queryCutoff(ctx context.Context, value string, qt float64) ([]Re
 				return false
 			}
 		}
-		_, conf, id, err := DecodeHeapKey(k)
+		conf, id, err := heapKeyConfID(k)
 		if err != nil {
 			scanErr = err
 			return false
@@ -142,7 +142,7 @@ func (t *Table) QuerySecondary(ctx context.Context, attr, value string, qt float
 				return false
 			}
 		}
-		_, conf, id, err := DecodeHeapKey(k)
+		conf, id, err := heapKeyConfID(k)
 		if err != nil {
 			scanErr = err
 			return false
@@ -260,10 +260,16 @@ const scanReadAhead = 64
 // reading the whole heap file sequentially and filtering — the
 // physical execution of the planner's FullScan plan. It touches no
 // secondary or cutoff index: every live tuple keeps at least its
-// first alternative in the heap, entries are deduplicated by tuple
-// ID, and the confidence is recomputed from the tuple itself, so
-// results are exact for any attribute and any threshold (including
-// below the cutoff). attr "" means the primary attribute.
+// first alternative in the heap, and the confidence is recomputed from
+// the tuple itself, so results are exact for any attribute and any
+// threshold (including below the cutoff). attr "" means the primary
+// attribute.
+//
+// Each entry is filtered on its encoded bytes (tuple.ConfidenceOf), and
+// only qualifying tuples are decoded; a qualifying tuple's further heap
+// entries (one per heap alternative, all carrying the same encoding)
+// are deduplicated by tuple ID. Every entry is still validated, so a
+// corrupt one fails the scan whether or not it matches.
 func (t *Table) FullScan(ctx context.Context, attr, value string, qt float64) ([]Result, QueryStats, error) {
 	var stats QueryStats
 	if err := CtxErr(ctx); err != nil {
@@ -277,28 +283,36 @@ func (t *Table) FullScan(ctx context.Context, attr, value string, qt float64) ([
 	// done.
 	release := t.heap.Pager().PushPrefetch(scanReadAhead)
 	defer release()
-	seen := make(map[uint64]bool)
+	matched := make(map[uint64]bool)
 	var results []Result
 	var scanErr error
-	err := t.ScanHeap(func(_ string, _ float64, id uint64, enc []byte) bool {
+	err := t.heap.Scan(nil, nil, func(k, v []byte) bool {
 		if stats.HeapEntries%ctxCheckEvery == 0 {
 			if scanErr = CtxErr(ctx); scanErr != nil {
 				return false
 			}
 		}
 		stats.HeapEntries++
-		if seen[id] {
-			return true // another alternative of an already-decided tuple
-		}
-		seen[id] = true
-		tup, err := tuple.Decode(enc)
+		_, id, err := heapKeyConfID(k)
 		if err != nil {
 			scanErr = err
 			return false
 		}
-		if conf := tup.Confidence(attr, value); conf > 0 && conf >= qt {
-			results = append(results, Result{Tuple: tup, Confidence: conf})
+		conf, err := tuple.ConfidenceOf(v, attr, value)
+		if err != nil {
+			scanErr = err
+			return false
 		}
+		if !(conf > 0 && conf >= qt) || matched[id] {
+			return true
+		}
+		tup, err := tuple.Decode(v)
+		if err != nil {
+			scanErr = err
+			return false
+		}
+		matched[id] = true
+		results = append(results, Result{Tuple: tup, Confidence: conf})
 		return true
 	})
 	if err == nil {
@@ -322,10 +336,10 @@ func sortByConfDesc(rs []Result) {
 	})
 }
 
-// ScanHeap visits every heap entry in key order. Used by histogram
-// construction and fracture merging.
+// ScanHeap visits every heap entry in key order, with its decoded key.
+// Used by histogram construction and fracture merging.
 //
-//lint:noctx callers thread cancellation through fn — FullScan and fracture merging both check ctx in their callbacks
+//lint:noctx callers own cancellation: fn stops the scan by returning false
 func (t *Table) ScanHeap(fn func(value string, conf float64, id uint64, tup []byte) bool) error {
 	var scanErr error
 	err := t.heap.Scan(nil, nil, func(k, v []byte) bool {

@@ -273,7 +273,6 @@ func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error
 	if q.kind == KindSegment {
 		physical = planner.SegmentScan
 	}
-	planName := ""
 	if q.explainOnly || source != PlanSourceHeuristic {
 		plans, err := s.plan(q)
 		switch {
@@ -304,7 +303,6 @@ func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error
 				}
 			}
 			physical = best.Kind
-			planName = best.Kind.String()
 		case source == PlanSourceStats && errors.Is(err, ErrNoStats):
 			// Degrade to the heuristic route like a stale discrete
 			// catalog would.
@@ -317,7 +315,7 @@ func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error
 		ctx:       ctx,
 		s:         s,
 		wantStats: q.wantStats,
-		info:      QueryInfo{Plan: planName, PlanSource: source},
+		info:      QueryInfo{Plan: physical.String(), PlanSource: source},
 	}
 	switch {
 	case q.kind == KindCircle && physical == planner.SpatialScan:

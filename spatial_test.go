@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"upidb/internal/dataset"
+	"upidb/internal/planner"
 )
 
 func spatialFixture(t testing.TB, n int) (*DB, *SpatialTable, *dataset.Cartel) {
@@ -125,6 +126,16 @@ func TestSpatialRunGolden(t *testing.T) {
 	}
 	if src := res.Info().PlanSource; src != PlanSourceHeuristic {
 		t.Fatalf("WithHeuristic PlanSource %q", src)
+	}
+	if plan, want := res.Info().Plan, planner.RTreeProbe.String(); plan != want {
+		t.Fatalf("WithHeuristic circle Plan %q, want %q", plan, want)
+	}
+	res, err = tab.Run(ctx, Segment(seg, 0.5).WithHeuristic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan, want := res.Info().Plan, planner.SegmentScan.String(); plan != want {
+		t.Fatalf("WithHeuristic segment Plan %q, want %q", plan, want)
 	}
 }
 
